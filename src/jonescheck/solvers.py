@@ -141,15 +141,16 @@ def enumerate_cycles(g: Multigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]
                 raise SolverLimit("cycle cap exceeded")
     adj = g.adjacency
     for root in range(g.n):
+        # depth-first search with an explicit stack of adjacency iterators,
+        # so long cycles do not exhaust the interpreter's recursion limit
         path_edges: list[int] = []
         path_verts: list[int] = [root]
         on_path = {root}
-        used_edges: set[int] = set()
-
-        def dfs(x: int) -> None:
-            for y, eid in adj[x]:
-                if eid in used_edges:
-                    continue
+        frames = [iter(adj[root])]
+        while frames:
+            for y, eid in frames[-1]:
+                if path_edges and eid == path_edges[-1]:
+                    continue  # the edge the path arrived by
                 if y == root and path_edges:
                     if path_edges[0] < eid:
                         out.append(
@@ -161,15 +162,62 @@ def enumerate_cycles(g: Multigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]
                     path_edges.append(eid)
                     path_verts.append(y)
                     on_path.add(y)
-                    used_edges.add(eid)
-                    dfs(y)
-                    used_edges.remove(eid)
-                    on_path.remove(y)
-                    path_verts.pop()
+                    frames.append(iter(adj[y]))
+                    break
+            else:
+                frames.pop()
+                if path_edges:
                     path_edges.pop()
-
-        dfs(root)
+                    on_path.remove(path_verts.pop())
     return out
+
+
+def _vertex_minimal(
+    g: Multigraph, cycles: list[Cycle]
+) -> tuple[list[Cycle], list[int]]:
+    """Cycles with no other cycle on a subset of their vertices, one per set.
+
+    Keeps the first cycle of each vertex set in the given order and returns
+    the kept cycles with their vertex bitmasks.  Drops a cycle on two or
+    more vertices when one of them has a loop, and a cycle on three or more
+    when its vertex set also induces a chord or a parallel edge: its vertex
+    set then induces more edges than its length, and the extra edge closes
+    a cycle on a strict subset.  (The plain chordless test is wrong on
+    multigraphs: it would drop every 2-cycle of a triple edge.)  Any packing
+    can trade a dropped cycle for a kept one on a subset of its vertices, so
+    the maximum packing size is unchanged.
+    """
+    bits = [1 << v for v in range(g.n)]
+    nbrs = [0] * g.n  # neighbor bitmask of each vertex
+    looped = 0  # vertices with a loop
+    doubled = []  # vertex pairs joined by two or more edges
+    for u, v in g.edges:
+        if u == v:
+            looped |= bits[u]
+        elif nbrs[u] & bits[v]:
+            doubled.append(bits[u] | bits[v])
+        else:
+            nbrs[u] |= bits[v]
+            nbrs[v] |= bits[u]
+    seen: set[tuple[int, ...]] = set()  # the rules depend on the vertex set only
+    kept: list[Cycle] = []
+    masks: list[int] = []
+    for c in cycles:
+        vs = c.vertices
+        if vs in seen:
+            continue
+        seen.add(vs)
+        mk = sum(map(bits.__getitem__, vs))
+        if len(vs) > 1 and mk & looped:
+            continue
+        if len(vs) > 2 and (
+            sum((mk & nbrs[v]).bit_count() for v in vs) > 2 * len(vs)
+            or any((mk & p) == p for p in doubled)
+        ):
+            continue
+        kept.append(c)
+        masks.append(mk)
+    return kept, masks
 
 
 # -- feedback vertex set ---------------------------------------------------
@@ -298,6 +346,42 @@ def _greedy_disjoint_cycles(work: _Work) -> int:
     return count
 
 
+def _degree_lower_bound(work: _Work, kept: frozenset[int]) -> int | None:
+    """Least number of free vertices whose deletion can leave a forest.
+
+    Deleting a vertex of degree d lowers the cyclomatic number m - n + c by
+    at most d - 1, and degrees only fall as vertices go (Bafna, Berman and
+    Fujito 1999).  So a feedback set avoiding `kept` has at least as many
+    vertices as it takes of the largest d - 1 values to reach the cyclomatic
+    number.  A loop counts twice in a degree, so half the degree sum is m
+    with each loop once.  Returns None when all free vertices together fall
+    short.
+    """
+    degree = {v: work.degree(v) for v in work.adj}
+    comps = 0
+    seen: set[int] = set()
+    for s in work.adj:
+        if s in seen:
+            continue
+        comps += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for y in work.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    need = sum(degree.values()) // 2 - len(degree) + comps  # m - n + c
+    if need <= 0:
+        return 0
+    drops = sorted((d - 1 for v, d in degree.items() if v not in kept), reverse=True)
+    for k, d in enumerate(drops, 1):
+        need -= d
+        if need <= 0:
+            return k
+    return None
+
+
 def _greedy_fvs(g: Multigraph) -> list[int]:
     work = _Work(g)
     chosen: list[int] = []
@@ -327,11 +411,15 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
             best = sorted(chosen)
             best_size = len(chosen)
             return
-        if len(chosen) + _greedy_disjoint_cycles(work) >= best_size:
+        bound = _degree_lower_bound(work, kept)
+        if bound is None:
+            return  # the free vertices cannot break every cycle
+        if (
+            len(chosen) + bound >= best_size
+            or len(chosen) + _greedy_disjoint_cycles(work) >= best_size
+        ):
             return
         cands = [v for v in work.adj if v not in kept]
-        if not cands:
-            return  # a cycle of kept vertices remains: infeasible branch
         v = max(cands, key=lambda x: (work.degree(x), -x))
         in_branch = work.copy()
         in_branch.remove(v)
@@ -409,23 +497,23 @@ def cp_exact(
     cycle_cap: int = DEFAULT_CYCLE_CAP,
     time_limit_s: float | None = None,
 ) -> CyclePacking:
-    """Maximum cycle packing via independent set over the cycle conflict graph."""
+    """Maximum cycle packing via independent set over vertex-minimal cycles.
+
+    Enumerates all cycles, keeps the vertex-minimal ones (`_vertex_minimal`)
+    and packs them with `_mis_over_masks`.  When the cycle count exceeds
+    `cycle_cap`, falls back to direct branching (`_cp_branch`).
+    """
     deadline = _deadline(time_limit_s)
     try:
         cycles = enumerate_cycles(g, cap=cycle_cap)
     except SolverLimit:
         return _cp_branch(g, deadline)
-    order = sorted(range(len(cycles)), key=lambda i: (len(cycles[i].vertices), cycles[i].edges))
-    masks = []
-    lens = []
-    for i in order:
-        mk = 0
-        for v in cycles[i].vertices:
-            mk |= 1 << v
-        masks.append(mk)
-        lens.append(max(1, len(cycles[i].vertices)))
+    cycles, masks = _vertex_minimal(
+        g, sorted(cycles, key=lambda c: (len(c.vertices), c.edges))
+    )
+    lens = [len(c.vertices) for c in cycles]
     picked = _mis_over_masks(masks, lens, g.n, deadline)
-    chosen = tuple(sorted(cycles[order[i]].edges for i in picked))
+    chosen = tuple(sorted(cycles[i].edges for i in picked))
     cp = CyclePacking(chosen, len(chosen), optimal=True)
     cp.verify(g)
     return cp

@@ -43,7 +43,21 @@ def test_cp_examples():
     assert solvers.cp_bruteforce(graphs.prism()).size == 2
     for n in range(3, 11):
         assert solvers.cp_exact(graphs.wheel(n)).size == 1
+    # each case below exercises one drop rule of the vertex-minimal filter;
+    # theta() is a triple edge: three 2-cycles on one vertex set
     assert solvers.cp_exact(graphs.theta()).size == 1
+    two_triples = Multigraph(4, ((0, 1),) * 3 + ((2, 3),) * 3 + ((1, 2),))
+    assert solvers.cp_exact(two_triples).size == 2
+    looped_digon = Multigraph(2, ((0, 1), (0, 1), (0, 0)))  # 2-cycle touching a loop
+    assert solvers.cp_exact(looped_digon).size == 1
+    # theta a-x-b, a-y-b, a-u-w-b with u-w doubled: the long cycles through
+    # u-w induce the parallel edge, the digon u-w packs beside a-x-b-y
+    a, b, x, y, u, w = range(6)
+    theta_doubled = Multigraph(
+        6, ((a, x), (x, b), (a, y), (y, b), (a, u), (u, w), (u, w), (w, b))
+    )
+    assert solvers.cp_exact(theta_doubled).size == 2
+    assert solvers.cp_bruteforce(theta_doubled).size == 2
 
 
 def test_witness_verification():
@@ -79,21 +93,50 @@ def test_dodecahedron_frozen_values():
     assert fvs.size == 2 * cp.size
 
 
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    """Multigraph on n <= 9 vertices with loops, parallel and triple edges."""
+    n = rng.randrange(1, 10)
+    edges = [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 2 * n + 2))
+    ]
+    for _ in range(rng.randrange(0, 3)):
+        if edges:
+            edges += [rng.choice(edges)] * rng.randrange(1, 3)
+    for _ in range(rng.randrange(0, 2)):
+        v = rng.randrange(n)
+        edges.append((v, v))
+    return Multigraph(n, tuple(edges))
+
+
 def test_oracle_equivalence_random():
     rng = random.Random(2024)
+    graphs_ = []
     for _ in range(60):
         n = rng.randrange(2, 8)
         edges = tuple(
             (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 10))
         )
-        g = Multigraph(n, edges)
-        assert solvers.fvs_exact(g).size == solvers.fvs_bruteforce(g).size
+        graphs_.append(Multigraph(n, edges))
+    graphs_ += [_random_multigraph(rng) for _ in range(400)]
+    for g in graphs_:
+        fvs = solvers.fvs_bruteforce(g).size
+        assert solvers.fvs_exact(g).size == fvs
+        # the degree bound alone, on the whole graph, never exceeds fvs
+        assert solvers._degree_lower_bound(solvers._Work(g), frozenset()) <= fvs
         try:
             cycles = solvers.enumerate_cycles(g)
         except solvers.SolverLimit:
             continue
         if len(cycles) <= 20:
             assert solvers.cp_exact(g).size == solvers.cp_bruteforce(g).size
+        else:
+            assert solvers.cp_exact(g).size == solvers._cp_branch(g, None).size
+
+
+def test_long_cycle_no_recursion_error():
+    g = graphs.cycle(1500)
+    assert solvers.fvs_exact(g).size == 1
+    assert solvers.cp_exact(g).size == 1
 
 
 def test_weak_duality_and_monotonicity():
