@@ -26,8 +26,6 @@ from .structure import (
     enumerate_cuts,
     faces,
     find_first_cut,
-    is_cyclically_4ec,
-    is_essentially_4ec,
     is_planar,
     planar_embedding,
     small_cut_flags,

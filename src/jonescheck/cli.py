@@ -92,17 +92,12 @@ def cmd_solve(args) -> int:
 def cmd_cuts(args) -> int:
     lines = []
     for idx, g in enumerate(_read_graphs(args)):
-        cuts = []
-        for k in (1, 2, 3):
-            for c in structure.enumerate_cuts(g, k):
-                cuts.append(
-                    {
-                        "edges": list(c.edges),
-                        "trivial": c.trivial,
-                        "cyclic": c.cyclic,
-                    }
-                )
-        ess4, cyc4 = structure.small_cut_flags(g)
+        found = list(structure._small_cuts(g))
+        cuts = [
+            {"edges": list(c.edges), "trivial": c.trivial, "cyclic": c.cyclic}
+            for c in found
+        ]
+        ess4, cyc4 = structure._cut_flags(g, found)
         lines.append(
             json.dumps(
                 {

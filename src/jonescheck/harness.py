@@ -37,7 +37,6 @@ MAX_N_MULTI = 10
 class CorpusSpec:
     cls: str
     max_n: int
-    seed: int = 0  # kept for interface stability; enumeration is deterministic
 
 
 # level cache: n -> {canonical form: graph}, connected subcubic planar simple

@@ -1,20 +1,25 @@
 """Connectivity and planarity analysis for small multigraphs.
 
-Cut enumeration is exhaustive over edge subsets of size <= 3, which is
-certifiable and fast at desk scale.  Planarity is decided on the underlying
-simple graph (loops and parallel edges never affect planarity) with the
-left-right-criterion implementation from networkx; loops and parallels are
-reinserted into the rotation system afterwards next to their mates.
+Minimal edge cuts with at most 3 edges all come from one engine,
+`_small_cuts`: cycle-space signatures over a spanning forest turn the cut
+test into XORs of edge signatures, so every such cut is read off in O(m^2)
+plus one traversal per cut for its sides.  Planarity is decided on the
+underlying simple graph (loops and parallel edges never affect planarity)
+with the left-right-criterion implementation from networkx; loops and
+parallels are reinserted into the rotation system afterwards next to their
+mates.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import networkx as nx
 
-from .multigraph import Multigraph, delete_edges, delete_vertices
+from .multigraph import Multigraph, delete_vertices
 
 
 @dataclass(frozen=True)
@@ -128,180 +133,142 @@ def vertex_connectivity(g: Multigraph) -> int:
     return s.n - 1
 
 
-def _disconnects(g: Multigraph, removed: tuple[int, ...]) -> bool:
-    h = delete_edges(g, removed).graph
-    return h.component_count() > g.component_count()
+# -- small edge cuts -------------------------------------------------------
 
 
-def _side_has_cycle(g: Multigraph, side: tuple[int, ...]) -> bool:
-    keep = set(side)
-    sub_edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
-    idx = {v: i for i, v in enumerate(side)}
-    sub = Multigraph(len(side), tuple((idx[u], idx[v]) for u, v in sub_edges))
-    return not sub.is_forest()
+def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
+    """Every minimal edge cut with 1-3 edges, sorted by (size, edge ids).
+
+    Cycle-space signatures over a spanning forest (Pritchard & Thurimella,
+    ACM TALG 7(4), 2011): each non-tree edge owns one bit, and a tree edge
+    carries the XOR of the non-tree edges whose fundamental cycles use it.
+    A set of non-loop edges is a cut exactly when its signatures XOR to 0,
+    and a minimal one when no proper subset's do.  One bit per non-tree
+    edge makes the test exact.  Loops lie in no cut and get no signature.
+    The cuts are found first; each one's sides are traced as it is yielded.
+    """
+    adj = g.adjacency
+    root = [-1] * g.n
+    parent_edge = [-1] * g.n
+    order: list[int] = []  # every vertex after its parent
+    for r in range(g.n):
+        if root[r] != -1:
+            continue
+        root[r] = r
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y, eid in adj[x]:
+                if root[y] == -1:
+                    root[y] = r
+                    parent_edge[y] = eid
+                    stack.append(y)
+    tree = set(parent_edge)
+    sig = [0] * g.m
+    acc = [0] * g.n  # XOR of the non-tree bits at a vertex, then its subtree
+    bit = 1
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v and eid not in tree:
+            sig[eid] = bit
+            acc[u] ^= bit
+            acc[v] ^= bit
+            bit <<= 1
+    for x in reversed(order):
+        eid = parent_edge[x]
+        if eid != -1:
+            sig[eid] = acc[x]
+            u, v = g.edges[eid]
+            acc[u + v - x] ^= acc[x]
+
+    real = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
+    found: list[tuple[int, ...]] = [(e,) for e in real if not sig[e]]
+    nonzero = [e for e in real if sig[e]]
+    by_sig: dict[int, list[int]] = {}
+    for e in nonzero:
+        by_sig.setdefault(sig[e], []).append(e)
+    for i, e in enumerate(nonzero):
+        for f in nonzero[i + 1 :]:
+            if sig[e] == sig[f]:
+                found.append((e, f))
+            else:
+                found.extend((e, f, h) for h in by_sig.get(sig[e] ^ sig[f], ()) if h > f)
+    found.sort(key=len)  # stable: each size is found in edge-id order
+
+    # a minimal cut splits one component into two connected sides; a side
+    # holds a cycle exactly when its edges, loops included, number at least
+    # its vertices
+    deg = g.degrees()
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):
+        members.setdefault(root[v], []).append(v)
+    comp_edges = {r: sum(deg[v] for v in vs) // 2 for r, vs in members.items()}
+    for edges in found:
+        banned = set(edges)
+        start = g.edges[edges[0]][0]
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y, eid in adj[stack.pop()]:
+                if y not in seen and eid not in banned:
+                    seen.add(y)
+                    stack.append(y)
+        inner = (sum(deg[v] for v in seen) - len(edges)) // 2
+        outer = comp_edges[root[start]] - len(edges) - inner
+        side = tuple(sorted(seen))
+        rest = tuple(v for v in members[root[start]] if v not in seen)
+        side_a, side_b = sorted((side, rest))
+        yield EdgeCut(
+            edges=edges,
+            side_a=side_a,
+            side_b=side_b,
+            trivial=min(len(side), len(rest)) <= 1,
+            cyclic=inner >= len(side) and outer >= len(rest),
+        )
+
+
+def _cut_flags(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
+    """`small_cut_flags` of g, given the cuts of `_small_cuts(g)`."""
+    labels = g._component_labels
+    sizes = Counter(labels)
+    edges = Counter(labels[u] for u, _ in g.edges)
+    essential = sum(size >= 2 for size in sizes.values()) <= 1
+    cyclic = sum(edges[c] >= size for c, size in sizes.items()) <= 1
+    for cut in cuts:
+        if not (essential or cyclic):
+            break
+        essential = essential and cut.trivial
+        cyclic = cyclic and not cut.cyclic
+    return essential, cyclic
+
+
+def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
+    """(essentially_4ec, cyclically_4ec) of g.
+
+    essentially_4ec: no removal of <= 3 edges (zero included) leaves two
+    components with >= 2 vertices each.  cyclically_4ec: no such removal
+    leaves two components that each contain a cycle; vacuously true when no
+    two vertex-disjoint cycles exist at all.
+    """
+    return _cut_flags(g, _small_cuts(g))
 
 
 def enumerate_cuts(g: Multigraph, k: int) -> list[EdgeCut]:
     """All minimal edge cuts of size exactly k (k in 1..3), sorted by edge ids."""
     if k not in (1, 2, 3):
         raise ValueError("cut size must be 1, 2 or 3")
-    cuts = []
-    for subset in itertools.combinations(range(g.m), k):
-        if not _disconnects(g, subset):
-            continue
-        if any(
-            _disconnects(g, sub)
-            for r in range(1, k)
-            for sub in itertools.combinations(subset, r)
-        ):
-            continue
-        h = delete_edges(g, subset).graph
-        # a minimal cut of a connected carrier splits one component in two
-        labels = h._component_labels
-        ends = {labels[g.edges[e][0]] for e in subset} | {
-            labels[g.edges[e][1]] for e in subset
-        }
-        comps = [c for c in h.components() if labels[c[0]] in ends]
-        if len(comps) != 2:
-            continue
-        side_a, side_b = sorted(comps)
-        cuts.append(
-            EdgeCut(
-                edges=subset,
-                side_a=side_a,
-                side_b=side_b,
-                trivial=min(len(side_a), len(side_b)) <= 1,
-                cyclic=_side_has_cycle(g, side_a) and _side_has_cycle(g, side_b),
-            )
-        )
-    cuts.sort(key=lambda c: c.edges)
-    return cuts
-
-
-def is_essentially_4ec(g: Multigraph) -> bool:
-    """No removal of <= 3 edges leaves two components with >= 2 vertices each."""
-    for k in (1, 2, 3):
-        for cut in enumerate_cuts(g, k):
-            if not cut.trivial:
-                return False
-    return True
-
-
-def is_cyclically_4ec(g: Multigraph) -> bool:
-    """No removal of <= 3 edges leaves two components that each contain a cycle.
-
-    Vacuously true when no two vertex-disjoint cycles exist at all.
-    """
-    for k in (1, 2, 3):
-        for cut in enumerate_cuts(g, k):
-            if cut.cyclic:
-                return False
-    return True
-
-
-# -- fast small-cut scans (batch-sweep path, cross-checked against the
-# exhaustive enumerate_cuts route in tests) --------------------------------
-
-
-def _component_stats_without(
-    g: Multigraph, banned: tuple[int, ...]
-) -> tuple[list[int], list[list[int]]]:
-    """Component labels and per-component [vertices, edges] with `banned`
-    edge ids removed."""
-    banned_set = set(banned)
-    label = [-1] * g.n
-    stats: list[list[int]] = []
-    for start in range(g.n):
-        if label[start] != -1:
-            continue
-        comp = len(stats)
-        stats.append([0, 0])
-        label[start] = comp
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            stats[comp][0] += 1
-            for y, eid in g.adjacency[x]:
-                if eid in banned_set:
-                    continue
-                if label[y] == -1:
-                    label[y] = comp
-                    stack.append(y)
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in banned_set:
-            stats[label[u]][1] += 1
-    return label, stats
-
-
-def _removal_subsets(g: Multigraph, size: int):
-    # loops never disconnect; skip them
-    real = [e for e in range(g.m) if g.edges[e][0] != g.edges[e][1]]
-    return itertools.combinations(real, size)
-
-
-def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
-    """(essentially_4ec, cyclically_4ec) in one sweep over <=3-edge removals."""
-    essential = True
-    cyclic = True
-    for k in (1, 2, 3):
-        for subset in _removal_subsets(g, k):
-            _, stats = _component_stats_without(g, subset)
-            if len(stats) <= g.component_count():
-                continue
-            big = sum(1 for nv, _ in stats if nv >= 2)
-            cyc = sum(1 for nv, ne in stats if ne >= nv)
-            if big >= 2:
-                essential = False
-            if cyc >= 2:
-                cyclic = False
-            if not essential and not cyclic:
-                return False, False
-    return essential, cyclic
-
-
-def _build_cut(g: Multigraph, subset: tuple[int, ...]) -> EdgeCut | None:
-    """EdgeCut for a minimal disconnecting subset, or None if it is not one."""
-    if not _disconnects(g, subset):
-        return None
-    if any(
-        _disconnects(g, sub)
-        for r in range(1, len(subset))
-        for sub in itertools.combinations(subset, r)
-    ):
-        return None
-    label, _ = _component_stats_without(g, subset)
-    ends = {label[g.edges[e][0]] for e in subset} | {label[g.edges[e][1]] for e in subset}
-    comps: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if label[v] in ends:
-            comps.setdefault(label[v], []).append(v)
-    if len(comps) != 2:
-        return None
-    side_a, side_b = sorted(tuple(c) for c in comps.values())
-    return EdgeCut(
-        edges=subset,
-        side_a=side_a,
-        side_b=side_b,
-        trivial=min(len(side_a), len(side_b)) <= 1,
-        cyclic=_side_has_cycle(g, side_a) and _side_has_cycle(g, side_b),
-    )
+    return [c for c in _small_cuts(g) if len(c.edges) == k]
 
 
 def find_first_cut(
     g: Multigraph, size: int, nontrivial_only: bool = False
 ) -> EdgeCut | None:
     """First minimal edge cut of the given size in edge-id order, if any."""
-    base = g.component_count()
-    for subset in _removal_subsets(g, size):
-        _, stats = _component_stats_without(g, subset)
-        if len(stats) <= base:
-            continue
-        cut = _build_cut(g, subset)
-        if cut is None:
-            continue
-        if nontrivial_only and cut.trivial:
-            continue
-        return cut
+    if size not in (1, 2, 3):
+        raise ValueError("cut size must be 1, 2 or 3")
+    for cut in _small_cuts(g):
+        if len(cut.edges) == size and not (nontrivial_only and cut.trivial):
+            return cut
     return None
 
 
@@ -387,44 +354,3 @@ def faces(g: Multigraph, rot: RotationSystem) -> list[Face]:
         )
         out.append(Face(tuple(walk), verts, is_cycle))
     return out
-
-
-# -- rotation system text format ------------------------------------------
-
-
-def serialize_rotation(rot: RotationSystem) -> bytes:
-    lines = []
-    for v, r in enumerate(rot.rotations):
-        ids = " ".join(str(e) for e, _ in r)
-        lines.append(f"{v}: {ids}".rstrip())
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_rotation(data: bytes | str, g: Multigraph) -> RotationSystem:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != g.n:
-        raise ValueError(f"expected {g.n} rotation lines, found {len(lines)}")
-    rotations: list[tuple[Dart, ...]] = [()] * g.n
-    for ln in lines:
-        head, _, rest = ln.partition(":")
-        v = int(head)
-        ids = [int(t) for t in rest.split()]
-        rot: list[Dart] = []
-        used: dict[int, int] = {}
-        for e in ids:
-            end = used.get(e, 0)
-            u0, u1 = g.edges[e]
-            if u0 == u1 == v:
-                rot.append((e, end))  # loop: first mention end 0, second end 1
-                used[e] = end + 1
-            elif u0 == v:
-                rot.append((e, 0))
-            elif u1 == v:
-                rot.append((e, 1))
-            else:
-                raise ValueError(f"edge {e} not incident to vertex {v}")
-        rotations[v] = tuple(rot)
-    rs = RotationSystem(tuple(rotations))
-    rs.validate(g)
-    return rs

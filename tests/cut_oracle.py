@@ -1,0 +1,91 @@
+"""Exhaustive reference for small edge cuts, used to cross-check the
+cycle-space engine in `jonescheck.structure`.
+
+Every routine here removes edge subsets and recomputes components with a
+union-find, so it is slow but follows the definitions word for word.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from jonescheck.multigraph import Multigraph
+from jonescheck.structure import EdgeCut
+
+
+def _parts(g: Multigraph, removed: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """Components of g minus the `removed` edge ids, sorted, each with
+    whether it contains a cycle (a loop and a parallel pair count)."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    closing = []  # an endpoint of each edge that closes a cycle
+    for eid, (u, v) in enumerate(g.edges):
+        if eid in removed:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closing.append(u)
+        else:
+            parent[ru] = rv
+    comps: dict[int, list[int]] = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), []).append(v)
+    cyclic = {find(u) for u in closing}
+    return sorted((tuple(vs), r in cyclic) for r, vs in comps.items())
+
+
+def small_cuts(g: Multigraph) -> list[EdgeCut]:
+    """All minimal edge cuts with 1-3 edges, sorted by (size, edge ids)."""
+    base = len(_parts(g, ()))
+    disconnecting: set[tuple[int, ...]] = set()
+    cuts = []
+    for k in (1, 2, 3):
+        for subset in itertools.combinations(range(g.m), k):
+            parts = _parts(g, subset)
+            if len(parts) == base:
+                continue
+            disconnecting.add(subset)
+            if any(
+                sub in disconnecting
+                for r in range(1, k)
+                for sub in itertools.combinations(subset, r)
+            ):
+                continue
+            # a minimal cut splits one component in two
+            ends = {v for e in subset for v in g.edges[e]}
+            sides = [p for p in parts if ends & set(p[0])]
+            assert len(sides) == 2
+            (side_a, cyc_a), (side_b, cyc_b) = sides
+            cuts.append(
+                EdgeCut(
+                    edges=subset,
+                    side_a=side_a,
+                    side_b=side_b,
+                    trivial=min(len(side_a), len(side_b)) <= 1,
+                    cyclic=cyc_a and cyc_b,
+                )
+            )
+    return cuts
+
+
+def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
+    """(essentially_4ec, cyclically_4ec) by definition: no removal of <= 3
+    edges (zero included) leaves two components with >= 2 vertices each, or
+    two components that each contain a cycle."""
+    essential = cyclic = True
+    for k in range(4):
+        for subset in itertools.combinations(range(g.m), k):
+            parts = _parts(g, subset)
+            if sum(len(vs) >= 2 for vs, _ in parts) >= 2:
+                essential = False
+            if sum(cyc for _, cyc in parts) >= 2:
+                cyclic = False
+            if not (essential or cyclic):
+                return essential, cyclic
+    return essential, cyclic

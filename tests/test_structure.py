@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import cut_oracle
 from jonescheck import graphs, structure
 from jonescheck.multigraph import Multigraph
 
@@ -34,30 +37,63 @@ def test_prism_rung_cut():
     assert len(cuts3) == 1
     assert sorted(cuts3[0].edges) == [6, 7, 8]
     assert cuts3[0].cyclic  # both sides are triangles
-    assert not structure.is_essentially_4ec(prism)
-    assert not structure.is_cyclically_4ec(prism)
+    assert structure.small_cut_flags(prism) == (False, False)
 
 
 def test_k4_flags():
     k4 = graphs.complete(4)
-    assert structure.is_essentially_4ec(k4)
-    assert structure.is_cyclically_4ec(k4)
+    assert structure.small_cut_flags(k4) == (True, True)
+
+
+def test_flags_disconnected():
+    # removing no edge already leaves two components with >= 2 vertices and
+    # with a cycle
+    k4 = graphs.complete(4)
+    two_k4 = Multigraph(8, k4.edges + tuple((u + 4, v + 4) for u, v in k4.edges))
+    assert structure.small_cut_flags(two_k4) == (False, False)
+    two_triangles = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    assert structure.small_cut_flags(two_triangles) == (False, False)
 
 
 def test_fast_scan_matches_enumeration(simple_corpus_12):
-    # dual route: the one-sweep flag scan must agree with exhaustive minimal
-    # cut enumeration on a slice of the corpus
+    # the cycle-space engine against the exhaustive subset scan on a slice
+    # of the corpus
     for g in [g for g in simple_corpus_12 if g.n <= 8][:300]:
-        ess = structure.is_essentially_4ec(g)
-        cyc = structure.is_cyclically_4ec(g)
-        assert structure.small_cut_flags(g) == (ess, cyc)
+        assert list(structure._small_cuts(g)) == cut_oracle.small_cuts(g)
+        assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
+
+
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    # loops, parallel and triple edges; often disconnected
+    n = rng.randint(1, 9)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 12)):
+        u = rng.randrange(n)
+        r = rng.random()
+        v = u if r < 0.1 else rng.randrange(n)
+        edges.extend([(u, v)] * (3 if r > 0.95 else 2 if r > 0.85 else 1))
+    return Multigraph(n, tuple(edges[:12]))
+
+
+def test_small_cuts_match_oracle_random():
+    rng = random.Random(20111)
+    for _ in range(2000):
+        g = _random_multigraph(rng)
+        expected = cut_oracle.small_cuts(g)
+        for k in (1, 2, 3):
+            want = [c for c in expected if len(c.edges) == k]
+            assert structure.enumerate_cuts(g, k) == want
+            assert structure.find_first_cut(g, k) == next(iter(want), None)
+            assert structure.find_first_cut(g, k, nontrivial_only=True) == next(
+                (c for c in want if not c.trivial), None
+            )
+        assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
 
 
 def test_find_first_cut_matches_enumeration():
     for g in (graphs.prism(), graphs.cycle(5), graphs.path(4), graphs.cube()):
         for k in (1, 2, 3):
             cuts = structure.enumerate_cuts(g, k)
-            cuts = [c for c in cuts if len(c.edges) == k]
             first = structure.find_first_cut(g, k)
             if cuts:
                 assert first is not None
@@ -103,14 +139,6 @@ def test_faces_examples():
     fs = structure.faces(theta, structure.planar_embedding(theta))
     assert len(fs) == 3
     assert sum(f.is_cycle for f in fs) == 3
-
-
-def test_rotation_roundtrip():
-    g = graphs.prism()
-    rot = structure.planar_embedding(g)
-    text = structure.serialize_rotation(rot)
-    back = structure.parse_rotation(text, g)
-    assert back.rotations == rot.rotations
 
 
 def test_rotation_validate_rejects():
