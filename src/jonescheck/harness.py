@@ -1,11 +1,17 @@
 """Corpus generation and batch verification of the packing/feedback bounds.
 
-Corpora are enumerated exhaustively up to isomorphism: simple classes by
-vertex augmentation (every connected graph on n vertices arises from a
-connected graph on n-1 vertices by deleting a non-cut vertex), multigraph
-classes by decorating simple planar backbones with edge multiplicities and
-loops under the degree-3 cap.  Dedupe is by canonical form, so every graph
-appears exactly once and the stream order is deterministic.
+Corpora are enumerated exhaustively up to isomorphism.  Simple classes grow
+one vertex at a time by canonical deletion: a child P + x of a level-(n-1)
+graph P is kept only if x has the largest invariant f(v) = (deg v, sorted
+neighbour degrees) among the vertices whose deletion leaves the child
+connected.  Every class C on n vertices is still reached: deleting a non-cut
+vertex y of largest f leaves a connected subcubic planar graph, isomorphic
+to some P of level n-1, and the child that joins a new vertex to the image
+of y's neighbours passes the test.  Most other children are never
+canonicalized.  Multigraph classes decorate simple planar backbones with
+edge multiplicities and loops under the degree-3 cap.  Dedupe is by
+canonical form, so every graph appears exactly once, and the stream, sorted
+by canonical form, has a deterministic order.
 """
 
 from __future__ import annotations
@@ -43,6 +49,31 @@ class CorpusSpec:
 _SIMPLE_LEVELS: dict[int, dict[bytes, Multigraph]] = {}
 
 
+def _is_canonical_deletion(adj: list[list[int]], s: tuple[int, ...]) -> bool:
+    """Whether the child P + x, with x joined to the vertices `s` of the
+    parent P (adjacency lists `adj`), keeps x as a deletion of largest
+    invariant: no vertex y whose deletion leaves the child connected has
+    f(y) > f(x), where f(v) = (deg v, sorted degrees of v's neighbours)."""
+    x = len(adj)
+    nbrs = [a + [x] if v in s else a for v, a in enumerate(adj)]
+    nbrs.append(list(s))
+    deg = [len(a) for a in nbrs]
+    fx = (deg[x], sorted(deg[u] for u in s))
+    for y in range(x):
+        if deg[y] < deg[x] or (deg[y], sorted(deg[u] for u in nbrs[y])) <= fx:
+            continue
+        seen = {x, y}
+        stack = [x]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == x + 1:  # y is not a cut vertex
+            return False
+    return True
+
+
 def _simple_level(n: int) -> dict[bytes, Multigraph]:
     if n in _SIMPLE_LEVELS:
         return _SIMPLE_LEVELS[n]
@@ -54,10 +85,15 @@ def _simple_level(n: int) -> dict[bytes, Multigraph]:
     seen: set[bytes] = set()
     level: dict[bytes, Multigraph] = {}
     for g in prev.values():
-        deg = g.degrees()
-        eligible = [v for v in range(g.n) if deg[v] < 3]
+        adj: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in g.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        eligible = [v for v, a in enumerate(adj) if len(a) < 3]
         for k in (1, 2, 3):
             for s in itertools.combinations(eligible, k):
+                if not _is_canonical_deletion(adj, s):
+                    continue
                 new = Multigraph(n, g.edges + tuple((v, n - 1) for v in s))
                 cf = canonical_form(new)
                 if cf in seen:

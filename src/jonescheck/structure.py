@@ -4,10 +4,12 @@ Minimal edge cuts with at most 3 edges all come from one engine,
 `_small_cuts`: cycle-space signatures over a spanning forest turn the cut
 test into XORs of edge signatures, so every such cut is read off in O(m^2)
 plus one traversal per cut for its sides.  Planarity is decided on the
-underlying simple graph (loops and parallel edges never affect planarity)
-with the left-right-criterion implementation from networkx; loops and
-parallels are reinserted into the rotation system afterwards next to their
-mates.
+underlying simple graph (loops and parallel edges never affect planarity).
+A graph whose 2-core has fewer than 5 vertices of degree >= 4 and fewer
+than 6 of degree >= 3 holds no Kuratowski subdivision and is planar; any
+other goes to the left-right-criterion implementation from networkx.  In an
+embedding, loops and parallels are reinserted into the rotation system next
+to their mates.
 """
 
 from __future__ import annotations
@@ -275,12 +277,34 @@ def find_first_cut(
 # -- planarity and embeddings ---------------------------------------------
 
 
-def is_planar(g: Multigraph) -> bool:
-    s = g.underlying_simple()
+def _nx_graph(s: Multigraph) -> nx.Graph:
+    """The simple graph s as a networkx graph."""
     nxg = nx.Graph()
     nxg.add_nodes_from(range(s.n))
     nxg.add_edges_from(s.edges)
-    ok, _ = nx.check_planarity(nxg)
+    return nxg
+
+
+def is_planar(g: Multigraph) -> bool:
+    # Kuratowski: a non-planar graph contains a subdivision of K5 or K3,3.
+    # It is 2-connected, so it lies in the 2-core, and there its 5 branch
+    # vertices have degree >= 4, or its 6 branch vertices degree >= 3.
+    s = g.underlying_simple()
+    nbrs: list[list[int]] = [[] for _ in range(s.n)]
+    for u, v in s.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(a) for a in nbrs]
+    peel = [v for v in range(s.n) if deg[v] <= 1]
+    while peel:
+        v = peel.pop()
+        for u in nbrs[v]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                peel.append(u)
+    if sum(d >= 3 for d in deg) < 6 and sum(d >= 4 for d in deg) < 5:
+        return True
+    ok, _ = nx.check_planarity(_nx_graph(s))
     return ok
 
 
@@ -290,10 +314,7 @@ def planar_embedding(g: Multigraph) -> RotationSystem:
     Parallel edges are placed adjacently (nested), loops as adjacent dart
     pairs; both conventions are always planarity-preserving.
     """
-    s = g.underlying_simple()
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(s.n))
-    nxg.add_edges_from(s.edges)
+    nxg = _nx_graph(g.underlying_simple())
     ok, emb = nx.check_planarity(nxg)
     if not ok:
         raise ValueError("graph is not planar")

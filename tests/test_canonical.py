@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import canonical_oracle
 from jonescheck import graphs
 from jonescheck.canonical import are_isomorphic, canonical_form
 from jonescheck.multigraph import Multigraph
@@ -88,3 +89,52 @@ def test_counts_regular_classes():
 def test_empty_and_singleton():
     assert canonical_form(Multigraph(0)) == b"\x00"
     assert canonical_form(Multigraph(1)) != canonical_form(Multigraph(1, ((0, 0),)))
+
+
+def _random_oracle_graph(rng: random.Random) -> Multigraph:
+    # loops, parallel and triple edges; often disconnected
+    n = rng.randint(1, 10)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(max(0, n - 3), 2 * n + 1)):
+        u = rng.randrange(n)
+        r = rng.random()
+        v = u if r < 0.1 else rng.randrange(n)
+        edges.extend([(u, v)] * (3 if r > 0.95 else 2 if r > 0.85 else 1))
+    return Multigraph(n, tuple(edges))
+
+
+def test_matches_oracle_random():
+    rng = random.Random(4242)
+    for _ in range(2000):
+        g = _random_oracle_graph(rng)
+        assert canonical_form(g) == canonical_oracle.canonical_form(g), g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graphs.complete(4),
+        graphs.petersen(),
+        graphs.cube(),
+        graphs.dodecahedron(),
+        graphs.generalized_petersen(14, 2),
+    ],
+    ids=["K4", "petersen", "cube", "dodecahedron", "GP(14,2)"],
+)
+def test_matches_oracle_named(g):
+    assert canonical_form(g) == canonical_oracle.canonical_form(g)
+
+
+def test_large_values():
+    # values >= 255 take the escape byte and 4 more bytes
+    a = Multigraph(2, ((0, 1),) * 299)
+    b = Multigraph(2, ((0, 1),) * 300)
+    assert canonical_form(a) != canonical_form(b)
+    assert canonical_form(b) == bytes([2, 0, 0, 255]) + (300).to_bytes(4, "big")
+    loops = Multigraph(1, ((0, 0),) * 256)
+    assert canonical_form(loops) == bytes([1, 255]) + (256).to_bytes(4, "big")
+    p = graphs.path(300)
+    form = canonical_form(p)
+    assert form[:5] == bytes([255]) + (300).to_bytes(4, "big")
+    assert form == canonical_form(_permuted(p, list(reversed(range(300)))))
+    assert form != canonical_form(graphs.path(301))

@@ -40,6 +40,17 @@ def test_solve_jobs(capsys, corpus_file):
     assert [l["graph_id"] for l in lines1[:-1]] == [l["graph_id"] for l in lines2[:-1]]
 
 
+def test_solve_long_path(capsys, tmp_path):
+    # 1,500 vertices: canonical values above 255, and a search that does not
+    # recurse once per vertex
+    p = tmp_path / "path.txt"
+    p.write_bytes(io.serialize(graphs.path(1500), "edges"))
+    code, lines = _run(capsys, ["solve", "--input", str(p), "--format", "edges"])
+    assert code == 0
+    assert lines[0]["status"] == "ok" and lines[0]["n"] == 1500
+    assert lines[0]["fvs"]["size"] == lines[0]["cp"]["size"] == 0
+
+
 def test_cuts(capsys, corpus_file):
     code, lines = _run(capsys, ["cuts", "--input", corpus_file])
     assert code == 0

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from jonescheck import graphs, harness, solvers, structure
+import generator_oracle
+from jonescheck import canonical, graphs, harness, solvers, structure
 from jonescheck.canonical import canonical_form
 from jonescheck.multigraph import Multigraph
 
@@ -28,6 +29,27 @@ def test_generator_matches_bruteforce(n):
     spec = harness.CorpusSpec("subcubic-planar-simple", n)
     got = {canonical_form(g) for g in harness.generate_corpus(spec) if g.n == n}
     assert got == _bruteforce_simple_classes(n)
+
+
+def test_generator_matches_unpruned(monkeypatch):
+    """Canonical-deletion pruning keeps every class and the stream order,
+    and canonicalizes far fewer children than the unpruned loop."""
+    levels, unpruned = generator_oracle.simple_levels(9)
+    want = [cf for level in levels for cf in sorted(level)]
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical.canonical_form(g)
+
+    # a fresh level cache, so the module's shared cache is neither used nor filled
+    monkeypatch.setattr(harness, "_SIMPLE_LEVELS", {})
+    monkeypatch.setattr(harness, "canonical_form", counting)
+    spec = harness.CorpusSpec("subcubic-planar-simple", 9)
+    got = [canonical.canonical_form(g) for g in harness.generate_corpus(spec)]
+    assert got == want
+    assert calls - 1 < unpruned / 2  # level 1 costs one call
 
 
 def test_cubic_class():

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 import cut_oracle
@@ -147,3 +148,75 @@ def test_rotation_validate_rejects():
     bad = structure.RotationSystem(rot.rotations[:-1])
     with pytest.raises(ValueError):
         bad.validate(g)
+
+
+def _nx_planar(g: Multigraph) -> bool:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from((u, v) for u, v in g.edges if u != v)
+    return nx.check_planarity(nxg)[0]
+
+
+def _bipartite33() -> Multigraph:
+    return Multigraph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+
+
+def _subdivided(g: Multigraph) -> Multigraph:
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        w = g.n + i
+        edges += [(u, w), (w, v)]
+    return Multigraph(g.n + g.m, tuple(edges))
+
+
+def _minus_edge(g: Multigraph) -> Multigraph:
+    return Multigraph(g.n, g.edges[1:])
+
+
+@pytest.mark.parametrize(
+    "g, planar",
+    [
+        (graphs.complete(5), False),
+        (_bipartite33(), False),
+        (_subdivided(_bipartite33()), False),  # exactly 6 vertices of degree 3
+        (_subdivided(graphs.complete(5)), False),  # exactly 5 of degree 4
+        (graphs.petersen(), False),
+        (_minus_edge(graphs.complete(5)), True),
+        (_minus_edge(_bipartite33()), True),
+        (_subdivided(_minus_edge(_bipartite33())), True),
+    ],
+    ids=["K5", "K33", "K33-sub", "K5-sub", "petersen", "K5-e", "K33-e", "K33-e-sub"],
+)
+def test_planarity_boundary(g, planar):
+    assert _nx_planar(g) == planar
+    assert structure.is_planar(g) == planar
+
+
+def _random_bounded_degree(rng: random.Random) -> Multigraph:
+    # maximum degree up to 5, pendant paths and isolated vertices included;
+    # a third get loops and parallel copies on top
+    n = rng.randint(1, 12)
+    cap = rng.randint(3, 5)
+    deg = [0] * n
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and deg[u] < cap and deg[v] < cap and (min(u, v), max(u, v)) not in edges:
+            edges.append((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+    if rng.random() < 1 / 3:
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))] if edges else []
+        edges += [(v, v) for v in rng.sample(range(n), rng.randint(0, min(n, 2)))]
+    return Multigraph(n, tuple(edges))
+
+
+def test_planarity_matches_networkx_random():
+    rng = random.Random(5150)
+    nonplanar = 0
+    for _ in range(1500):
+        g = _random_bounded_degree(rng)
+        want = _nx_planar(g)
+        assert structure.is_planar(g) == want, g
+        nonplanar += not want
+    assert nonplanar >= 100
