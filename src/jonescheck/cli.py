@@ -19,22 +19,33 @@ from .multigraph import Multigraph
 FORMAT_ALIASES = {"g6": "graph6", "s6": "sparse6", "edges": "edge-list"}
 
 
+class _InputError(Exception):
+    """The input could not be read or parsed; no graph has been solved yet."""
+
+
 def _read_graphs(args) -> list[Multigraph]:
     if args.stdin:
         data = sys.stdin.read()
     else:
-        with open(args.input, "rb") as f:
-            data = f.read()
+        try:
+            with open(args.input, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise _InputError(exc) from exc
     fmt = FORMAT_ALIASES[args.format]
     if isinstance(data, str):
-        data = data.encode()
-    if fmt == "edge-list":
-        return [io.parse(data, fmt)]
+        data = data.encode("utf-8", "surrogateescape")
+    if fmt == "edge-list":  # the whole input is one graph
+        chunks = [("input", data)]
+    else:
+        lines = enumerate(data.splitlines(), 1)
+        chunks = [(f"line {i}", line.strip()) for i, line in lines if line.strip()]
     graphs = []
-    for line in data.splitlines():
-        line = line.strip()
-        if line:
-            graphs.append(io.parse(line, fmt))
+    for where, chunk in chunks:
+        try:
+            graphs.append(io.parse(chunk, fmt))
+        except ValueError as exc:  # FormatError, or bytes that are not text
+            raise _InputError(f"{where}: {exc}") from exc
     return graphs
 
 
@@ -204,12 +215,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _add_input_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="input file of graphs, one per line")
-    p.add_argument("--stdin", action="store_true", help="read graphs from stdin")
+def _add_input_opts(p: argparse.ArgumentParser):
+    """Add --input and --stdin, exactly one of which is required, and --format.
+
+    Returns the group of input sources, so that `verify` can add --class.
+    """
+    sources = p.add_mutually_exclusive_group(required=True)
+    sources.add_argument("--input", help="input file of graphs, one per line")
+    sources.add_argument("--stdin", action="store_true", help="read graphs from stdin")
     p.add_argument(
         "--format", choices=sorted(FORMAT_ALIASES), default="s6", help="input format"
     )
+    return sources
 
 
 def _add_common_opts(p: argparse.ArgumentParser) -> None:
@@ -250,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("verify", help="batch-check bounds over a corpus or input")
-    _add_input_opts(p)
+    sources = _add_input_opts(p)
     _add_common_opts(p)
-    p.add_argument("--class", dest="cls", choices=harness.CORPUS_CLASSES)
+    sources.add_argument("--class", dest="cls", choices=harness.CORPUS_CLASSES)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument(
         "--check",
@@ -273,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"jonescheck {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -188,7 +188,6 @@ def graph_digest(g: Multigraph) -> str:
 class CheckConfig:
     checks: tuple[str, ...] = ("jones2", "triple", "munaro", "facepack")
     time_limit_s: float | None = 60.0
-    cycle_cap: int = solvers.DEFAULT_CYCLE_CAP
 
 
 # checks whose failure would contradict a theorem (assertion-level) versus
@@ -256,13 +255,7 @@ def run_checks(g: Multigraph, config: CheckConfig = CheckConfig()) -> Verificati
         return res
 
     fvs = timed("fvs", solvers.fvs_exact, g, time_limit_s=config.time_limit_s)
-    cp = timed(
-        "cp",
-        solvers.cp_exact,
-        g,
-        cycle_cap=config.cycle_cap,
-        time_limit_s=config.time_limit_s,
-    )
+    cp = timed("cp", solvers.cp_exact, g, time_limit_s=config.time_limit_s)
     if fvs is not None:
         values["fvs"] = fvs.size
     if cp is not None:

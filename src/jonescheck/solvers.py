@@ -15,11 +15,9 @@ from typing import NamedTuple
 from .multigraph import Multigraph, delete_vertices
 from .structure import Face, RotationSystem, faces as face_walks
 
-DEFAULT_CYCLE_CAP = 10**6
-
 
 class SolverLimit(Exception):
-    """A configured resource cap (time, cycle count, size guard) was hit."""
+    """A solver hit its time limit or a brute-force oracle its size guard."""
 
 
 class Cycle(NamedTuple):
@@ -126,19 +124,18 @@ class FacePacking:
 # -- cycle enumeration -----------------------------------------------------
 
 
-def enumerate_cycles(g: Multigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
+def enumerate_cycles(g: Multigraph, deadline: float | None = None) -> list[Cycle]:
     """All simple cycles, each exactly once, deterministic order.
 
     Loops are cycles of length 1 and parallel pairs cycles of length 2.
     A cycle is reported from its minimal vertex; the traversal direction is
-    fixed by requiring first edge id < last edge id.
+    fixed by requiring first edge id < last edge id.  The `deadline` (a
+    `time.monotonic()` value) is checked every 1,024 cycles found.
     """
     out: list[Cycle] = []
     for v in range(g.n):
         for eid in g.loops[v]:
             out.append(Cycle((eid,), (v,)))
-            if len(out) > cap:
-                raise SolverLimit("cycle cap exceeded")
     adj = g.adjacency
     for root in range(g.n):
         # depth-first search with an explicit stack of adjacency iterators,
@@ -156,8 +153,8 @@ def enumerate_cycles(g: Multigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]
                         out.append(
                             Cycle(tuple(path_edges) + (eid,), tuple(sorted(on_path)))
                         )
-                        if len(out) > cap:
-                            raise SolverLimit("cycle cap exceeded")
+                        if len(out) % 1024 == 0:
+                            _check_deadline(deadline)
                 elif y > root and y not in on_path:
                     path_edges.append(eid)
                     path_verts.append(y)
@@ -492,22 +489,15 @@ def _mis_over_masks(
     return best
 
 
-def cp_exact(
-    g: Multigraph,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
-    time_limit_s: float | None = None,
-) -> CyclePacking:
+def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     """Maximum cycle packing via independent set over vertex-minimal cycles.
 
     Enumerates all cycles, keeps the vertex-minimal ones (`_vertex_minimal`)
-    and packs them with `_mis_over_masks`.  When the cycle count exceeds
-    `cycle_cap`, falls back to direct branching (`_cp_branch`).
+    and packs them with `_mis_over_masks`.  The time limit bounds both the
+    enumeration and the search.
     """
     deadline = _deadline(time_limit_s)
-    try:
-        cycles = enumerate_cycles(g, cap=cycle_cap)
-    except SolverLimit:
-        return _cp_branch(g, deadline)
+    cycles = enumerate_cycles(g, deadline=deadline)
     cycles, masks = _vertex_minimal(
         g, sorted(cycles, key=lambda c: (len(c.vertices), c.edges))
     )
@@ -515,80 +505,6 @@ def cp_exact(
     picked = _mis_over_masks(masks, lens, g.n, deadline)
     chosen = tuple(sorted(cycles[i].edges for i in picked))
     cp = CyclePacking(chosen, len(chosen), optimal=True)
-    cp.verify(g)
-    return cp
-
-
-def _cycles_through(adj, loops, v, alive) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Simple cycles through v in the residual graph, as (edge ids, vertices)."""
-    out = []
-    if loops.get(v):
-        out.append(((loops[v][0],), (v,)))
-    path_edges: list[int] = []
-    on_path = [v]
-    used: set[int] = set()
-
-    def dfs(x: int) -> None:
-        for y, eid in adj[x]:
-            if y not in alive or eid in used:
-                continue
-            if y == v and path_edges:
-                if path_edges[0] < eid:
-                    out.append((tuple(path_edges) + (eid,), tuple(sorted(on_path))))
-            elif y != v and y not in on_path:
-                path_edges.append(eid)
-                on_path.append(y)
-                used.add(eid)
-                dfs(y)
-                used.discard(eid)
-                on_path.pop()
-                path_edges.pop()
-
-    dfs(v)
-    return out
-
-
-def _cp_branch(g: Multigraph, deadline: float | None) -> CyclePacking:
-    """Fallback direct branching for graphs whose cycle count trips the cap.
-
-    Branches on the lowest-index vertex on a cycle: either it is unused
-    (delete it) or some cycle through it joins the packing.
-    """
-    adj = g.adjacency
-    loops = {v: list(g.loops[v]) for v in range(g.n)}
-    best: list[tuple[int, ...]] = []
-
-    def cyclomatic(alive: set[int]) -> int:
-        sub = delete_vertices(g, [v for v in range(g.n) if v not in alive]).graph
-        return sub.m - sub.n + sub.component_count()
-
-    def search(alive: set[int], packed: list[tuple[int, ...]]) -> None:
-        nonlocal best
-        _check_deadline(deadline)
-        if len(packed) > len(best):
-            best = list(packed)
-        bound = cyclomatic(alive)
-        if len(packed) + bound <= len(best):
-            return
-        v = None
-        for x in sorted(alive):
-            if loops.get(x) or any(
-                y in alive for y, _ in adj[x]
-            ):
-                cyc = _cycles_through(adj, loops, x, alive)
-                if cyc:
-                    v = x
-                    break
-        if v is None:
-            return
-        for ids, verts in cyc:
-            packed.append(ids)
-            search(alive - set(verts), packed)
-            packed.pop()
-        search(alive - {v}, packed)
-
-    search(set(range(g.n)), [])
-    cp = CyclePacking(tuple(sorted(best)), len(best), optimal=True)
     cp.verify(g)
     return cp
 

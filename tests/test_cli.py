@@ -133,3 +133,29 @@ def test_time_limit_skip(capsys, tmp_path):
     )
     # 0 disables the limit rather than skipping everything
     assert code == 0 and lines[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["cuts"], ["reduce"], ["verify", "--max-n", "3"]]
+)
+def test_no_input_source_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "is required" in capsys.readouterr().err
+
+
+def test_malformed_line_reports_line_number(capsys, monkeypatch):
+    import io as _io
+
+    good = io.serialize(graphs.complete(4), "s6").decode()
+    monkeypatch.setattr("sys.stdin", _io.StringIO(f"{good}\n\ngarbage!!\n"))
+    assert cli.main(["solve", "--stdin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: sparse6 must start with ':'" in captured.err
+
+
+def test_missing_input_file(capsys, tmp_path):
+    assert cli.main(["reduce", "--input", str(tmp_path / "missing.s6")]) == 2
+    assert "No such file" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+import cp_oracle
 from jonescheck import graphs, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
 
@@ -14,9 +16,12 @@ def test_enumerate_cycles_counts():
     assert solvers.enumerate_cycles(graphs.path(4)) == []
 
 
-def test_enumerate_cycles_cap():
+def test_enumerate_cycles_deadline():
+    # GP(14,2) has 13,562 cycles, so the deadline is checked on the way
     with pytest.raises(solvers.SolverLimit):
-        solvers.enumerate_cycles(graphs.complete(4), cap=3)
+        solvers.enumerate_cycles(
+            graphs.generalized_petersen(14, 2), deadline=time.monotonic() - 1.0
+        )
 
 
 def test_fvs_examples():
@@ -123,14 +128,10 @@ def test_oracle_equivalence_random():
         assert solvers.fvs_exact(g).size == fvs
         # the degree bound alone, on the whole graph, never exceeds fvs
         assert solvers._degree_lower_bound(solvers._Work(g), frozenset()) <= fvs
-        try:
-            cycles = solvers.enumerate_cycles(g)
-        except solvers.SolverLimit:
-            continue
-        if len(cycles) <= 20:
+        if len(solvers.enumerate_cycles(g)) <= 20:
             assert solvers.cp_exact(g).size == solvers.cp_bruteforce(g).size
         else:
-            assert solvers.cp_exact(g).size == solvers._cp_branch(g, None).size
+            assert solvers.cp_exact(g).size == cp_oracle._cp_branch(g, None).size
 
 
 def test_long_cycle_no_recursion_error():
@@ -177,12 +178,10 @@ def test_suppression_preserves_fvs_cp():
         assert solvers.cp_exact(h).size == solvers.cp_exact(g).size
 
 
-def test_cp_branch_fallback_agrees():
-    # force the branching path with a tiny cycle cap
+def test_cp_matches_branching_oracle():
     for g in (graphs.prism(), graphs.cube(), graphs.wheel(5)):
-        direct = solvers.cp_exact(g)
-        branched = solvers.cp_exact(g, cycle_cap=2)
-        assert branched.size == direct.size
+        branched = cp_oracle._cp_branch(g, None)
+        assert solvers.cp_exact(g).size == branched.size
         branched.verify(g)
 
 
@@ -205,6 +204,15 @@ def test_fp_le_cp():
 def test_time_limit_raises():
     with pytest.raises(solvers.SolverLimit):
         solvers.fvs_exact(graphs.dodecahedron(), time_limit_s=0.0)
+
+
+def test_cp_time_limit_bounds_enumeration():
+    # GP(18,2) takes several seconds to enumerate its cycles; the limit must
+    # stop the enumeration, not only the packing search after it
+    t0 = time.monotonic()
+    with pytest.raises(solvers.SolverLimit):
+        solvers.cp_exact(graphs.generalized_petersen(18, 2), time_limit_s=0.2)
+    assert time.monotonic() - t0 < 3.0
 
 
 def test_witness_to_dict():
