@@ -14,7 +14,7 @@ from jonescheck.canonical import are_isomorphic
 
 def main():
     prism = graphs.prism()
-    cut = structure.find_first_cut(prism, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(prism)
     print(f"nontrivial 3-cut of the prism: edge ids {cut.edges}, "
           f"sides {cut.side_a} / {cut.side_b}, cyclic: {cut.cyclic}")
 

@@ -22,7 +22,6 @@ from .structure import (
     EdgeCut,
     Face,
     RotationSystem,
-    edge_connectivity,
     enumerate_cuts,
     faces,
     find_first_cut,
@@ -62,7 +61,6 @@ from .reduction import (
     tree_median,
 )
 from .harness import (
-    CheckConfig,
     CorpusSpec,
     PipelineResult,
     VerificationRecord,

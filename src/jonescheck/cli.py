@@ -20,7 +20,8 @@ FORMAT_ALIASES = {"g6": "graph6", "s6": "sparse6", "edges": "edge-list"}
 
 
 class _InputError(Exception):
-    """The input could not be read or parsed; no graph has been solved yet."""
+    """The input could not be read or parsed, or the corpus asked for is out
+    of range; no graph has been solved yet."""
 
 
 def _read_graphs(args) -> list[Multigraph]:
@@ -152,8 +153,8 @@ def cmd_reduce(args) -> int:
 
 
 def _verify_one(task):
-    g, limit, checks = task
-    return harness.run_checks(g, harness.CheckConfig(checks=checks, time_limit_s=limit))
+    g, limit = task
+    return harness.run_checks(g, limit)
 
 
 def _map(jobs, fn, tasks):
@@ -163,15 +164,19 @@ def _map(jobs, fn, tasks):
         return list(pool.imap(fn, tasks, chunksize=16))
 
 
+def _corpus_spec(args) -> harness.CorpusSpec:
+    try:
+        return harness.CorpusSpec(args.cls, args.max_n)
+    except ValueError as exc:
+        raise _InputError(exc) from exc
+
+
 def cmd_verify(args) -> int:
-    checks = tuple(args.check.split(","))
     if args.cls:
-        graphs = list(
-            harness.generate_corpus(harness.CorpusSpec(args.cls, args.max_n))
-        )
+        graphs = list(harness.generate_corpus(_corpus_spec(args)))
     else:
         graphs = _read_graphs(args)
-    tasks = [(g, _time_limit_s(args), checks) for g in graphs]
+    tasks = [(g, _time_limit_s(args)) for g in graphs]
     records = _map(args.jobs, _verify_one, tasks)
     lines = []
     n_assert = n_conj = n_skip = 0
@@ -205,7 +210,7 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     lines = []
-    for g in harness.generate_corpus(harness.CorpusSpec(args.cls, args.max_n)):
+    for g in harness.generate_corpus(_corpus_spec(args)):
         lines.append(io.serialize(g, "sparse6").decode())
     if args.out:
         with open(args.out, "w") as f:
@@ -229,12 +234,22 @@ def _add_input_opts(p: argparse.ArgumentParser):
     return sources
 
 
+def _milliseconds(text: str) -> int:
+    try:
+        ms = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if ms < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 means no limit), got {ms}")
+    return ms
+
+
 def _add_common_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write report here instead of stdout")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument(
         "--time-limit-ms",
-        type=int,
+        type=_milliseconds,
         default=60000,
         help="per-graph solver budget; graphs over budget are marked skipped",
     )
@@ -271,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_opts(p)
     sources.add_argument("--class", dest="cls", choices=harness.CORPUS_CLASSES)
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument(
-        "--check",
-        default="jones2,triple,munaro,facepack",
-        help="comma-separated list of checks to run",
-    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("generate", help="enumerate a corpus class as sparse6 lines")

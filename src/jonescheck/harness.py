@@ -44,6 +44,15 @@ class CorpusSpec:
     cls: str
     max_n: int
 
+    def __post_init__(self) -> None:
+        if self.cls not in CORPUS_CLASSES:
+            raise ValueError(f"unknown corpus class {self.cls!r}")
+        if self.cls == "subcubic-planar-multi":
+            if self.max_n > MAX_N_MULTI:
+                raise ValueError(f"max_n > {MAX_N_MULTI} for multigraph classes")
+        elif self.max_n > MAX_N_SIMPLE:
+            raise ValueError(f"max_n > {MAX_N_SIMPLE} for simple classes")
+
 
 # level cache: n -> {canonical form: graph}, connected subcubic planar simple
 _SIMPLE_LEVELS: dict[int, dict[bytes, Multigraph]] = {}
@@ -150,13 +159,6 @@ def _multi_decorations(backbone: Multigraph) -> Iterator[Multigraph]:
 
 def generate_corpus(spec: CorpusSpec) -> Iterator[Multigraph]:
     """Stream of pairwise non-isomorphic connected graphs, deterministic order."""
-    if spec.cls not in CORPUS_CLASSES:
-        raise ValueError(f"unknown corpus class {spec.cls!r}")
-    if spec.cls == "subcubic-planar-multi":
-        if spec.max_n > MAX_N_MULTI:
-            raise ValueError(f"max_n > {MAX_N_MULTI} for multigraph classes")
-    elif spec.max_n > MAX_N_SIMPLE:
-        raise ValueError(f"max_n > {MAX_N_SIMPLE} for simple classes")
     for n in range(1, spec.max_n + 1):
         level = _simple_level(n)
         if spec.cls == "cubic-planar-simple":
@@ -182,12 +184,6 @@ def graph_digest(g: Multigraph) -> str:
 
 
 # -- per-graph verification -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    checks: tuple[str, ...] = ("jones2", "triple", "munaro", "facepack")
-    time_limit_s: float | None = 60.0
 
 
 # checks whose failure would contradict a theorem (assertion-level) versus
@@ -229,7 +225,7 @@ class VerificationRecord:
         )
 
 
-def run_checks(g: Multigraph, config: CheckConfig = CheckConfig()) -> VerificationRecord:
+def run_checks(g: Multigraph, time_limit_s: float | None = 60.0) -> VerificationRecord:
     ess4, cyc4 = structure.small_cut_flags(g)
     flags = {
         "planar": structure.is_planar(g),
@@ -254,45 +250,39 @@ def run_checks(g: Multigraph, config: CheckConfig = CheckConfig()) -> Verificati
             wall[name] = time.monotonic() - t0
         return res
 
-    fvs = timed("fvs", solvers.fvs_exact, g, time_limit_s=config.time_limit_s)
-    cp = timed("cp", solvers.cp_exact, g, time_limit_s=config.time_limit_s)
+    fvs = timed("fvs", solvers.fvs_exact, g, time_limit_s=time_limit_s)
+    cp = timed("cp", solvers.cp_exact, g, time_limit_s=time_limit_s)
     if fvs is not None:
         values["fvs"] = fvs.size
     if cp is not None:
         values["cp"] = cp.size
 
+    # A simple 3-connected planar graph has one embedding (Whitney), so only
+    # there is the face packing a value of the graph.  Connectivity is at
+    # most the minimum degree.
     fp = None
-    if flags["planar"] and "facepack" in config.checks:
-        three_connected = flags["simple"] and structure.vertex_connectivity(g) >= 3
-        flags["fp_is_exact"] = three_connected
-        rot = structure.planar_embedding(g)
-        fp = timed(
-            "fp", solvers.fp_fixed_embedding, g, rot, time_limit_s=config.time_limit_s
+    if flags["planar"]:
+        flags["fp_is_exact"] = (
+            flags["simple"]
+            and min(g.degrees(), default=0) >= 3
+            and structure.vertex_connectivity(g) >= 3
         )
-        if fp is not None:
-            values["fp_fixed"] = fp.size
+        if flags["fp_is_exact"]:
+            rot = structure.planar_embedding(g)
+            fp = timed(
+                "fp", solvers.fp_fixed_embedding, g, rot, time_limit_s=time_limit_s
+            )
+            if fp is not None:
+                values["fp_fixed"] = fp.size
 
     checks: dict[str, bool] = {}
-    have = fvs is not None and cp is not None
-    if "jones2" in config.checks and flags["planar"] and flags["subcubic"] and have:
-        checks["jones2"] = fvs.size <= 2 * cp.size
-    if "triple" in config.checks and flags["planar"] and have:
+    if flags["planar"] and fvs is not None and cp is not None:
         checks["triple"] = fvs.size <= 3 * cp.size
-    if (
-        "munaro" in config.checks
-        and flags["simple"]
-        and flags["subcubic"]
-        and flags["planar"]
-        and flags["cyclically_4ec"]
-        and have
-    ):
-        checks["munaro"] = fvs.size <= 2 * cp.size
-    if (
-        "facepack" in config.checks
-        and fp is not None
-        and fvs is not None
-        and flags.get("fp_is_exact")
-    ):
+        if flags["subcubic"]:
+            checks["jones2"] = fvs.size <= 2 * cp.size
+            if flags["simple"] and flags["cyclically_4ec"]:
+                checks["munaro"] = fvs.size <= 2 * cp.size
+    if fp is not None and fvs is not None:
         checks["facepack2"] = fvs.size <= 2 * fp.size
     return VerificationRecord(
         graph_id=graph_digest(g),
@@ -375,30 +365,20 @@ def reduce_pipeline(g: Multigraph, with_certificates: bool = False) -> PipelineR
         if h.is_forest():
             leaves.append(PipelineLeaf(h, "acyclic"))
             continue
-        bridge = structure.find_first_cut(h, 1)
-        if bridge is not None:
-            d = reduction.split_bridge(h, bridge.edges[0])
-            decs.append(d)
-            if with_certificates:
-                certs.append(reduction.check_bridge_certificate(d))
-            stack.extend((d.parts["G1"].graph, d.parts["G2"].graph))
+        cut = structure.find_first_cut(h)
+        if cut is None:  # no bridge, 2-cut or nontrivial 3-cut remains
+            leaves.append(PipelineLeaf(h, "small" if h.n <= 4 else "essentially_4ec"))
             continue
-        cut2 = structure.find_first_cut(h, 2)
-        if cut2 is not None:
-            d = reduction.split_2cut(h, cut2)
-            decs.append(d)
-            if with_certificates:
-                certs.append(reduction.check_cut2_certificate(d))
-            stack.extend((d.parts["G1p"].graph, d.parts["G2p"].graph))
-            continue
-        cut3 = structure.find_first_cut(h, 3, nontrivial_only=True)
-        if cut3 is not None:
-            d = reduction.decompose_3cut(h, cut3)
-            decs.append(d)
-            if with_certificates:
-                certs.append(reduction.check_cut3_certificate(d))
-            stack.extend((d.parts["G1"].graph, d.parts["G2"].graph))
-            continue
-        # no bridge, 2-cut or nontrivial 3-cut remains
-        leaves.append(PipelineLeaf(h, "small" if h.n <= 4 else "essentially_4ec"))
+        k = len(cut.edges)
+        if k == 1:
+            d = reduction.split_bridge(h, cut.edges[0])
+        elif k == 2:
+            d = reduction.split_2cut(h, cut)
+        else:
+            d = reduction.decompose_3cut(h, cut)
+        decs.append(d)
+        if with_certificates:
+            certs.append(reduction.certify(d))
+        sides = ("G1p", "G2p") if k == 2 else ("G1", "G2")
+        stack.extend(d.parts[side].graph for side in sides)
     return PipelineResult(tuple(decs), tuple(leaves), tuple(certs))

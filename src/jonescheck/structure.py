@@ -75,64 +75,23 @@ class Face:
 # -- connectivity ----------------------------------------------------------
 
 
-def edge_connectivity(g: Multigraph) -> int:
-    """Exact edge connectivity; 0 for disconnected or single-vertex graphs."""
-    if g.n <= 1 or not g.is_connected():
-        return 0
-    # unit-capacity max-flow from vertex 0 to every other vertex
-    best = min(g.degrees())
-    for t in range(1, g.n):
-        best = min(best, _maxflow_edges(g, 0, t))
-        if best == 0:
-            break
-    return best
-
-
-def _maxflow_edges(g: Multigraph, s: int, t: int) -> int:
-    # Edmonds-Karp on the doubled digraph; each undirected edge has one unit
-    # of capacity shared between its two directions.
-    cap: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v:
-            cap[(eid, 0)] = 1  # u -> v
-            cap[(eid, 1)] = 1  # v -> u
-    flow = 0
-    while True:
-        prev: dict[int, tuple[int, int]] = {s: (-1, -1)}
-        queue = [s]
-        while queue and t not in prev:
-            nxt = []
-            for x in queue:
-                for y, eid in g.adjacency[x]:
-                    if y in prev:
-                        continue
-                    d = 0 if g.edges[eid][0] == x else 1
-                    if cap.get((eid, d), 0) > 0:
-                        prev[y] = (eid, d)
-                        nxt.append(y)
-            queue = nxt
-        if t not in prev:
-            return flow
-        x = t
-        while x != s:
-            eid, d = prev[x]
-            cap[(eid, d)] -= 1
-            cap[(eid, 1 - d)] += 1
-            x = g.edges[eid][d]
-        flow += 1
-
-
 def vertex_connectivity(g: Multigraph) -> int:
-    """Exact vertex connectivity of the underlying simple graph."""
+    """Exact vertex connectivity of the underlying simple graph.
+
+    Deleting the neighbours of a vertex of minimum degree d isolates it, so
+    the connectivity is at most min(n - 1, d), and only smaller vertex sets
+    are tried as separators.
+    """
     s = g.underlying_simple()
     if s.n <= 1 or not s.is_connected():
         return 0
-    for k in range(s.n - 1):
+    bound = min(s.n - 1, min(s.degrees()))
+    for k in range(bound):
         for cut in itertools.combinations(range(s.n), k):
             h = delete_vertices(s, cut).graph
             if h.n > 0 and not h.is_connected():
                 return k
-    return s.n - 1
+    return bound
 
 
 # -- small edge cuts -------------------------------------------------------
@@ -262,14 +221,12 @@ def enumerate_cuts(g: Multigraph, k: int) -> list[EdgeCut]:
     return [c for c in _small_cuts(g) if len(c.edges) == k]
 
 
-def find_first_cut(
-    g: Multigraph, size: int, nontrivial_only: bool = False
-) -> EdgeCut | None:
-    """First minimal edge cut of the given size in edge-id order, if any."""
-    if size not in (1, 2, 3):
-        raise ValueError("cut size must be 1, 2 or 3")
+def find_first_cut(g: Multigraph) -> EdgeCut | None:
+    """The first bridge, else the first minimal 2-edge cut, else the first
+    nontrivial minimal 3-edge cut, each in edge-id order; None if there is
+    none."""
     for cut in _small_cuts(g):
-        if len(cut.edges) == size and not (nontrivial_only and cut.trivial):
+        if len(cut.edges) < 3 or not cut.trivial:
             return cut
     return None
 

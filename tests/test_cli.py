@@ -90,7 +90,7 @@ def test_verify_stdin(capsys, monkeypatch):
     import io as _io
 
     monkeypatch.setattr("sys.stdin", _io.StringIO(data))
-    code, lines = _run(capsys, ["verify", "--stdin", "--check", "jones2,triple"])
+    code, lines = _run(capsys, ["verify", "--stdin"])
     assert code == 0
     assert lines[0]["values"]["fvs"] == 2
 
@@ -159,3 +159,26 @@ def test_malformed_line_reports_line_number(capsys, monkeypatch):
 def test_missing_input_file(capsys, tmp_path):
     assert cli.main(["reduce", "--input", str(tmp_path / "missing.s6")]) == 2
     assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--class", "subcubic-planar-simple", "--max-n", "99"],
+        ["generate", "--class", "subcubic-planar-multi", "--max-n", "11"],
+    ],
+)
+def test_corpus_out_of_range_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"jonescheck {argv[0]}: error: max_n >" in captured.err
+
+
+def test_negative_time_limit_is_usage_error(capsys, corpus_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--input", corpus_file, "--time-limit-ms", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --time-limit-ms: must be >= 0" in captured.err

@@ -117,9 +117,32 @@ def test_run_checks_nonplanar():
 
 
 def test_run_checks_time_limit():
-    cfg = harness.CheckConfig(time_limit_s=1e-9)
-    rec = harness.run_checks(graphs.dodecahedron(), cfg)
+    rec = harness.run_checks(graphs.dodecahedron(), time_limit_s=1e-9)
     assert "fvs" in rec.skipped
+
+
+def test_run_checks_packs_faces_only_where_exact(monkeypatch):
+    # a planar graph that is not 3-connected has several embeddings, so it
+    # is never embedded and carries no face packing
+    def no_embedding(g):
+        raise AssertionError("planar_embedding called")
+
+    monkeypatch.setattr(structure, "planar_embedding", no_embedding)
+    bowtie = Multigraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
+    for g in (graphs.cycle(5), bowtie, graphs.path(3), graphs.theta()):
+        rec = harness.run_checks(g)
+        assert rec.flags["planar"] and not rec.flags["fp_is_exact"]
+        assert "fp_fixed" not in rec.values and "fp" not in rec.wall_time
+        assert "facepack2" not in rec.checks and rec.checks["triple"]
+
+
+def test_run_checks_wheel_is_exact():
+    # W5 is simple and 3-connected with a hub of degree 5
+    rec = harness.run_checks(graphs.wheel(5))
+    assert rec.flags["fp_is_exact"] and not rec.flags["subcubic"]
+    assert rec.values["fp_fixed"] == 1
+    assert rec.checks["facepack2"] and rec.checks["triple"]
+    assert "jones2" not in rec.checks
 
 
 def test_pipeline_tree():
@@ -134,6 +157,24 @@ def test_pipeline_prism():
         l.label in ("acyclic", "essentially_4ec", "small") for l in res.leaves
     )
     assert all(c.holds for c in res.certificates)
+
+
+def test_pipeline_2cut_keeps_virtual_edges():
+    # two K4-minus-an-edge blocks joined by a 2-edge cut: each side with its
+    # virtual edge is a K4 leaf
+    g = Multigraph(
+        8,
+        (
+            (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+            (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+            (0, 4), (3, 7),
+        ),
+    )
+    res = harness.reduce_pipeline(g, with_certificates=True)
+    assert [d.kind for d in res.decompositions] == ["cut2"]
+    assert [l.label for l in res.leaves] == ["small", "small"]
+    assert all(canonical.are_isomorphic(l.graph, graphs.complete(4)) for l in res.leaves)
+    assert [c.holds for c in res.certificates] == [True]
 
 
 def test_pipeline_dodecahedron():

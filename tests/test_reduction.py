@@ -58,7 +58,7 @@ def test_delete_degree_le1():
 
 def test_split_bridge_certificate():
     bowtie = Multigraph(6, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)))
-    bridge = structure.find_first_cut(bowtie, 1)
+    bridge = structure.find_first_cut(bowtie)
     d = reduction.split_bridge(bowtie, bridge.edges[0])
     assert set(d.parts) == {"G1", "G2"}
     cert = reduction.check_bridge_certificate(d)
@@ -67,7 +67,7 @@ def test_split_bridge_certificate():
 
 def test_split_2cut_c4():
     c4 = graphs.cycle(4)
-    cut = structure.find_first_cut(c4, 2)
+    cut = structure.find_first_cut(c4)
     d = reduction.split_2cut(c4, cut)
     assert set(d.parts) == {"G1", "G2", "G1p", "G2p"}
     # each side plus its virtual edge is a cycle
@@ -80,17 +80,15 @@ def test_split_2cut_c4():
 
 def test_split_2cut_c6_and_double_diamond():
     for g in (graphs.cycle(6), _double_diamond()):
-        cut = structure.find_first_cut(g, 2)
-        if cut is None:
-            cuts = [c for c in structure.enumerate_cuts(g, 2) if len(c.edges) == 2]
-            cut = cuts[0]
+        cut = structure.find_first_cut(g)  # both are bridgeless
+        assert len(cut.edges) == 2
         d = reduction.split_2cut(g, cut)
         assert reduction.check_cut2_certificate(d).holds
 
 
 def test_combine_packings_2cut():
     dd = _double_diamond()
-    cut = structure.find_first_cut(dd, 2)
+    cut = structure.find_first_cut(dd)
     d = reduction.split_2cut(dd, cut)
     p1 = solvers.cp_exact(d.parts["G1p"].graph)
     p2 = solvers.cp_exact(d.parts["G2p"].graph)
@@ -101,7 +99,7 @@ def test_combine_packings_2cut():
 
 def test_decompose_3cut_prism():
     prism = graphs.prism()
-    cut = structure.find_first_cut(prism, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(prism)
     d = reduction.decompose_3cut(prism, cut)
     tri_par = Multigraph(3, ((0, 1), (0, 1), (1, 2), (0, 2)))
     for i in (1, 2):
@@ -112,7 +110,7 @@ def test_decompose_3cut_prism():
 
 def test_check_cut3_certificate_prism():
     prism = graphs.prism()
-    cut = structure.find_first_cut(prism, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(prism)
     d = reduction.decompose_3cut(prism, cut)
     cert = reduction.check_cut3_certificate(d)
     assert cert.holds
@@ -135,7 +133,7 @@ def test_tree_median():
 
 def test_lift_fvs_3cut():
     prism = graphs.prism()
-    cut = structure.find_first_cut(prism, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(prism)
     d = reduction.decompose_3cut(prism, cut)
     for i in (1, 2):
         other = 2 if i == 1 else 1
@@ -157,7 +155,7 @@ def test_lift_fvs_3cut_larger():
             (0, 3), (1, 3), (2, 3),
         ),
     )
-    cut = structure.find_first_cut(g, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(g)
     assert cut is not None and sorted(cut.edges) == [6, 7, 8]
     d = reduction.decompose_3cut(g, cut)
     s_abc = solvers.fvs_exact(d.parts["G1_ABC"].graph)
@@ -168,6 +166,6 @@ def test_lift_fvs_3cut_larger():
 
 def test_certify_dispatch():
     prism = graphs.prism()
-    cut = structure.find_first_cut(prism, 3, nontrivial_only=True)
+    cut = structure.find_first_cut(prism)
     d = reduction.decompose_3cut(prism, cut)
     assert reduction.certify(d).holds

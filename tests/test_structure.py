@@ -3,17 +3,19 @@ import random
 import networkx as nx
 import pytest
 
+import connectivity_oracle
 import cut_oracle
 from jonescheck import graphs, structure
 from jonescheck.multigraph import Multigraph
 
 
 def test_edge_connectivity_examples():
-    assert structure.edge_connectivity(graphs.complete(4)) == 3
-    assert structure.edge_connectivity(graphs.cycle(5)) == 2
-    assert structure.edge_connectivity(graphs.path(3)) == 1
-    assert structure.edge_connectivity(graphs.theta()) == 3
-    assert structure.edge_connectivity(Multigraph(3, ((0, 1),))) == 0
+    edge_connectivity = connectivity_oracle.edge_connectivity
+    assert edge_connectivity(graphs.complete(4)) == 3
+    assert edge_connectivity(graphs.cycle(5)) == 2
+    assert edge_connectivity(graphs.path(3)) == 1
+    assert edge_connectivity(graphs.theta()) == 3
+    assert edge_connectivity(Multigraph(3, ((0, 1),))) == 0
 
 
 def test_vertex_connectivity_examples():
@@ -22,6 +24,34 @@ def test_vertex_connectivity_examples():
     assert structure.vertex_connectivity(graphs.cycle(6)) == 2
     bowtie = Multigraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
     assert structure.vertex_connectivity(bowtie) == 1
+    assert structure.vertex_connectivity(graphs.wheel(5)) == 3
+    assert structure.vertex_connectivity(_octahedron()) == 4
+
+
+def _octahedron() -> Multigraph:
+    # K6 minus a perfect matching: 4-regular and 4-connected
+    k6 = graphs.complete(6)
+    return Multigraph(6, tuple(e for e in k6.edges if e not in ((0, 1), (2, 3), (4, 5))))
+
+
+def test_vertex_connectivity_matches_networkx():
+    # degrees up to 8, so the minimum-degree bound is exercised beyond
+    # subcubic graphs; loops and parallel edges must not change the answer
+    rng = random.Random(31337)
+    pool = [graphs.wheel(5), graphs.wheel(7), _octahedron(), graphs.complete(6)]
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 2)) if edges]
+        edges += [(v, v) for v in range(n) if rng.random() < 0.1]
+        pool.append(Multigraph(n, tuple(edges)))
+    for g in pool:
+        s = g.underlying_simple()
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(s.n))
+        nxg.add_edges_from(s.edges)
+        assert structure.vertex_connectivity(g) == nx.node_connectivity(nxg), g
 
 
 def test_enumerate_cuts_cycle():
@@ -84,23 +114,21 @@ def test_small_cuts_match_oracle_random():
         for k in (1, 2, 3):
             want = [c for c in expected if len(c.edges) == k]
             assert structure.enumerate_cuts(g, k) == want
-            assert structure.find_first_cut(g, k) == next(iter(want), None)
-            assert structure.find_first_cut(g, k, nontrivial_only=True) == next(
-                (c for c in want if not c.trivial), None
-            )
+        assert structure.find_first_cut(g) == next(
+            (c for c in expected if len(c.edges) < 3 or not c.trivial), None
+        )
         assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
 
 
 def test_find_first_cut_matches_enumeration():
-    for g in (graphs.prism(), graphs.cycle(5), graphs.path(4), graphs.cube()):
-        for k in (1, 2, 3):
-            cuts = structure.enumerate_cuts(g, k)
-            first = structure.find_first_cut(g, k)
-            if cuts:
-                assert first is not None
-                assert first.edges == min(c.edges for c in cuts)
-            else:
-                assert first is None
+    # the first bridge, else the first 2-cut, else the first nontrivial 3-cut
+    for g in (graphs.prism(), graphs.cycle(5), graphs.path(4), graphs.cube(), graphs.complete(4)):
+        cuts = [
+            *structure.enumerate_cuts(g, 1),
+            *structure.enumerate_cuts(g, 2),
+            *(c for c in structure.enumerate_cuts(g, 3) if not c.trivial),
+        ]
+        assert structure.find_first_cut(g) == next(iter(cuts), None)
 
 
 def test_planarity():
