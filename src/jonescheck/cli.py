@@ -130,24 +130,26 @@ def cmd_reduce(args) -> int:
     lines = []
     bad = False
     for idx, g in enumerate(_read_graphs(args)):
-        res = harness.reduce_pipeline(g, with_certificates=args.certificates)
-        certs = [c.to_dict() for c in res.certificates]
-        bad = bad or any(not c["holds"] for c in certs)
-        lines.append(
-            json.dumps(
-                {
-                    "index": idx,
-                    "graph_id": harness.graph_digest(g),
-                    "decompositions": [d.kind for d in res.decompositions],
-                    "leaves": [
-                        {"n": l.graph.n, "m": l.graph.m, "label": l.label}
-                        for l in res.leaves
-                    ],
-                    "certificates": certs,
-                },
-                sort_keys=True,
+        rec: dict = {"index": idx, "graph_id": harness.graph_digest(g)}
+        try:
+            res = harness.reduce_pipeline(
+                g, with_certificates=args.certificates, time_limit_s=_time_limit_s(args)
             )
-        )
+        except solvers.SolverLimit:
+            rec["status"] = "skipped"
+        else:
+            certs = [c.to_dict() for c in res.certificates]
+            bad = bad or any(not c["holds"] for c in certs)
+            rec.update(
+                status="ok",
+                decompositions=[d.kind for d in res.decompositions],
+                leaves=[
+                    {"n": l.graph.n, "m": l.graph.m, "label": l.label}
+                    for l in res.leaves
+                ],
+                certificates=certs,
+            )
+        lines.append(json.dumps(rec, sort_keys=True))
     _emit(args, lines)
     return 1 if bad else 0
 

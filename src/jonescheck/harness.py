@@ -335,10 +335,13 @@ def _strip_low_degree(g: Multigraph) -> tuple[Multigraph, bool]:
     return cur, changed
 
 
-def reduce_pipeline(g: Multigraph, with_certificates: bool = False) -> PipelineResult:
+def reduce_pipeline(
+    g: Multigraph, with_certificates: bool = False, time_limit_s: float | None = None
+) -> PipelineResult:
     """Recursively reduce along low-degree vertices, bridges, 2-cuts and
     nontrivial 3-cuts until every leaf is acyclic, essentially 4-edge-connected
-    or has at most 4 vertices."""
+    or has at most 4 vertices.  `time_limit_s` bounds each solver call of the
+    certificates; one over it raises `solvers.SolverLimit`."""
     decs: list[reduction.Decomposition] = []
     leaves: list[PipelineLeaf] = []
     certs: list[reduction.Certificate] = []
@@ -378,7 +381,7 @@ def reduce_pipeline(g: Multigraph, with_certificates: bool = False) -> PipelineR
             d = reduction.decompose_3cut(h, cut)
         decs.append(d)
         if with_certificates:
-            certs.append(reduction.certify(d))
+            certs.append(reduction.certify(d, time_limit_s))
         sides = ("G1p", "G2p") if k == 2 else ("G1", "G2")
         stack.extend(d.parts[side].graph for side in sides)
     return PipelineResult(tuple(decs), tuple(leaves), tuple(certs))

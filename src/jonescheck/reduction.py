@@ -220,13 +220,15 @@ def split_bridge(g: Multigraph, e: int) -> Decomposition:
     return Decomposition("bridge", g, (e,), parts)
 
 
-def check_bridge_certificate(d: Decomposition) -> Certificate:
-    fvs_g = fvs_exact(d.parent).size
-    cp_g = cp_exact(d.parent).size
-    f1 = fvs_exact(d.parts["G1"].graph).size
-    f2 = fvs_exact(d.parts["G2"].graph).size
-    c1 = cp_exact(d.parts["G1"].graph).size
-    c2 = cp_exact(d.parts["G2"].graph).size
+def check_bridge_certificate(
+    d: Decomposition, time_limit_s: float | None = None
+) -> Certificate:
+    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
+    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
+    f1 = fvs_exact(d.parts["G1"].graph, time_limit_s=time_limit_s).size
+    f2 = fvs_exact(d.parts["G2"].graph, time_limit_s=time_limit_s).size
+    c1 = cp_exact(d.parts["G1"].graph, time_limit_s=time_limit_s).size
+    c2 = cp_exact(d.parts["G2"].graph, time_limit_s=time_limit_s).size
     return Certificate(
         (
             _entry("fvs_union", fvs_g, "<=", f1 + f2),
@@ -265,11 +267,19 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
     return Decomposition("cut2", g, (e1, e2), parts, boundary)
 
 
-def check_cut2_certificate(d: Decomposition) -> Certificate:
-    fvs_g = fvs_exact(d.parent).size
-    cp_g = cp_exact(d.parent).size
-    f = {k: fvs_exact(p.graph).size for k, p in d.parts.items()}
-    c = {k: cp_exact(p.graph).size for k, p in d.parts.items()}
+def check_cut2_certificate(
+    d: Decomposition, time_limit_s: float | None = None
+) -> Certificate:
+    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
+    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
+    f = {
+        k: fvs_exact(p.graph, time_limit_s=time_limit_s).size
+        for k, p in d.parts.items()
+    }
+    c = {
+        k: cp_exact(p.graph, time_limit_s=time_limit_s).size
+        for k, p in d.parts.items()
+    }
     entries = [
         _entry("cp_sandwich_1_lo", c["G1"], "<=", c["G1p"]),
         _entry("cp_sandwich_1_hi", c["G1p"], "<=", c["G1"] + 1),
@@ -447,7 +457,9 @@ def lift_fvs_3cut(
     return out
 
 
-def check_cut3_certificate(d: Decomposition) -> Certificate:
+def check_cut3_certificate(
+    d: Decomposition, time_limit_s: float | None = None
+) -> Certificate:
     """Evaluate the universally valid inequalities around a nontrivial 3-cut.
 
     The conditional equalities that hold only for a minimal counterexample
@@ -455,10 +467,16 @@ def check_cut3_certificate(d: Decomposition) -> Certificate:
     """
     if d.kind != "cut3":
         raise ValueError("decomposition is not a 3-cut")
-    f = {k: fvs_exact(p.graph).size for k, p in d.parts.items()}
-    c = {k: cp_exact(p.graph).size for k, p in d.parts.items()}
-    fvs_g = fvs_exact(d.parent).size
-    cp_g = cp_exact(d.parent).size
+    f = {
+        k: fvs_exact(p.graph, time_limit_s=time_limit_s).size
+        for k, p in d.parts.items()
+    }
+    c = {
+        k: cp_exact(p.graph, time_limit_s=time_limit_s).size
+        for k, p in d.parts.items()
+    }
+    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
+    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
 
     complement = {"A": "BC", "B": "AC", "C": "AB"}
     entries = [_entry("a_cp_union", cp_g, ">=", c["G1"] + c["G2"])]
@@ -506,11 +524,11 @@ def check_cut3_certificate(d: Decomposition) -> Certificate:
     return Certificate(tuple(entries), observations)
 
 
-def certify(d: Decomposition) -> Certificate:
+def certify(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
     if d.kind == "bridge":
-        return check_bridge_certificate(d)
+        return check_bridge_certificate(d, time_limit_s)
     if d.kind == "cut2":
-        return check_cut2_certificate(d)
+        return check_cut2_certificate(d, time_limit_s)
     if d.kind == "cut3":
-        return check_cut3_certificate(d)
+        return check_cut3_certificate(d, time_limit_s)
     return Certificate(())

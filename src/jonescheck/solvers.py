@@ -124,19 +124,26 @@ class FacePacking:
 # -- cycle enumeration -----------------------------------------------------
 
 
-def enumerate_cycles(g: Multigraph, deadline: float | None = None) -> list[Cycle]:
-    """All simple cycles, each exactly once, deterministic order.
+def enumerate_cycles(
+    g: Multigraph, deadline: float | None = None, minimal: bool = False
+) -> list[Cycle]:
+    """Simple cycles, each exactly once, deterministic order.
 
     Loops are cycles of length 1 and parallel pairs cycles of length 2.
     A cycle is reported from its minimal vertex; the traversal direction is
-    fixed by requiring first edge id < last edge id.  The `deadline` (a
-    `time.monotonic()` value) is checked every 1,024 cycles found.
+    fixed by requiring first edge id < last edge id.  With `minimal=True`
+    only the vertex-minimal cycles are listed (`_minimal_cycles`).  The
+    `deadline` (a `time.monotonic()` value) is checked every 1,024 steps of
+    the search, so a search that finds few cycles stops in time as well.
     """
+    if minimal:
+        return _minimal_cycles(g, deadline)
     out: list[Cycle] = []
     for v in range(g.n):
         for eid in g.loops[v]:
             out.append(Cycle((eid,), (v,)))
     adj = g.adjacency
+    steps = 0
     for root in range(g.n):
         # depth-first search with an explicit stack of adjacency iterators,
         # so long cycles do not exhaust the interpreter's recursion limit
@@ -153,9 +160,10 @@ def enumerate_cycles(g: Multigraph, deadline: float | None = None) -> list[Cycle
                         out.append(
                             Cycle(tuple(path_edges) + (eid,), tuple(sorted(on_path)))
                         )
-                        if len(out) % 1024 == 0:
-                            _check_deadline(deadline)
                 elif y > root and y not in on_path:
+                    steps += 1
+                    if not steps & 1023:
+                        _check_deadline(deadline)
                     path_edges.append(eid)
                     path_verts.append(y)
                     on_path.add(y)
@@ -169,52 +177,169 @@ def enumerate_cycles(g: Multigraph, deadline: float | None = None) -> list[Cycle
     return out
 
 
-def _vertex_minimal(
-    g: Multigraph, cycles: list[Cycle]
-) -> tuple[list[Cycle], list[int]]:
-    """Cycles with no other cycle on a subset of their vertices, one per set.
+def _edge_blocks(adj: list[dict[int, int]], m: int) -> list[int]:
+    """Biconnected block of each edge of a graph without parallel edges.
 
-    Keeps the first cycle of each vertex set in the given order and returns
-    the kept cycles with their vertex bitmasks.  Drops a cycle on two or
-    more vertices when one of them has a loop, and a cycle on three or more
-    when its vertex set also induces a chord or a parallel edge: its vertex
-    set then induces more edges than its length, and the extra edge closes
-    a cycle on a strict subset.  (The plain chordless test is wrong on
-    multigraphs: it would drop every 2-cycle of a triple edge.)  Any packing
-    can trade a dropped cycle for a kept one on a subset of its vertices, so
-    the maximum packing size is unchanged.
+    `adj[v]` maps each neighbour of v to the id of the edge joining them;
+    ids not in the graph get -1.  One iterative Hopcroft–Tarjan pass.
     """
-    bits = [1 << v for v in range(g.n)]
-    nbrs = [0] * g.n  # neighbor bitmask of each vertex
-    looped = 0  # vertices with a loop
-    doubled = []  # vertex pairs joined by two or more edges
-    for u, v in g.edges:
-        if u == v:
-            looped |= bits[u]
-        elif nbrs[u] & bits[v]:
-            doubled.append(bits[u] | bits[v])
+    block = [-1] * m
+    disc = [0] * len(adj)  # discovery time, 0 while unvisited
+    low = [0] * len(adj)
+    open_edges: list[int] = []  # edges of blocks not yet closed
+    clock = blocks = 0
+    for s in range(len(adj)):
+        if disc[s]:
+            continue
+        clock += 1
+        disc[s] = low[s] = clock
+        frames = [(s, -1, iter(adj[s].items()))]
+        while frames:
+            x, via, it = frames[-1]
+            for y, eid in it:
+                if not disc[y]:
+                    open_edges.append(eid)
+                    clock += 1
+                    disc[y] = low[y] = clock
+                    frames.append((y, eid, iter(adj[y].items())))
+                    break
+                if disc[y] < disc[x] and eid != via:  # back edge
+                    open_edges.append(eid)
+                    low[x] = min(low[x], disc[y])
+            else:
+                frames.pop()
+                if frames:
+                    p = frames[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] >= disc[p]:  # p cuts x's subtree off: close a block
+                        while True:
+                            e = open_edges.pop()
+                            block[e] = blocks
+                            if e == via:
+                                break
+                        blocks += 1
+    return block
+
+
+def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:
+    """The cycles with no other cycle on a subset of their vertices.
+
+    One cycle per vertex set, as `enumerate_cycles` reports it:
+    - the first loop at each vertex;
+    - for each pair joined by two or more edges, neither end with a loop,
+      the 2-cycle on its two smallest edge ids;
+    - each cycle on three or more loop-free vertices, joined by single
+      edges, whose vertex set induces no other edge.
+    (The plain chordless test, "induced edges == length", is wrong on
+    multigraphs: it would drop every 2-cycle of a triple edge.)  A packing
+    can trade any other cycle for a listed one on a subset of its vertices,
+    so the maximum packing size is unchanged.
+
+    The long cycles come from an induced-path search, after Uno & Satoh
+    (Discovery Science 2014) and Dias, Castonguay, Longo & Jradi
+    (arXiv:1309.1051).  From each root r the path grows by a vertex y > r
+    whose only neighbours on the path are its last vertex and r; it closes
+    when y is adjacent to r, and never grows past such a y.  It walks only
+    single edges between loop-free vertices, and only those in the
+    biconnected block of its first edge, since every such cycle lies in one
+    block of that graph.
+    """
+    n = g.n
+    out = [Cycle((lp[0],), (v,)) for v, lp in enumerate(g.loops) if lp]
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            pairs.setdefault((u, v), []).append(eid)
+    nbrs: list[list[int]] = [[] for _ in range(n)]  # distinct neighbours
+    single: list[dict[int, int]] = [{} for _ in range(n)]  # walked edges
+    for (u, v), ids in pairs.items():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        if g.loops[u] or g.loops[v]:
+            continue
+        if len(ids) > 1:
+            out.append(Cycle((ids[0], ids[1]), (u, v)))
         else:
-            nbrs[u] |= bits[v]
-            nbrs[v] |= bits[u]
-    seen: set[tuple[int, ...]] = set()  # the rules depend on the vertex set only
-    kept: list[Cycle] = []
-    masks: list[int] = []
-    for c in cycles:
-        vs = c.vertices
-        if vs in seen:
+            single[u][v] = single[v][u] = ids[0]
+    block = _edge_blocks(single, g.m)
+    # a vertex left with fewer than two walked edges to vertices still alive
+    # lies on no long cycle among them; dropping each root after its search
+    # and peeling such vertices keeps a long path or cycle linear
+    alive = [True] * n
+    degree = [len(a) for a in single]  # walked edges to live vertices
+
+    def drop(x: int) -> None:
+        alive[x] = False
+        stack = [x]
+        while stack:
+            for y in single[stack.pop()]:
+                if alive[y]:
+                    degree[y] -= 1
+                    if degree[y] < 2:
+                        alive[y] = False
+                        stack.append(y)
+
+    for v in range(n):
+        if alive[v] and degree[v] < 2:
+            drop(v)
+    on_path = [False] * n
+    near = [0] * n  # number of path vertices adjacent to each vertex
+    path: list[int] = []
+    path_edges: list[int] = []
+    steps = 0
+
+    def push(x: int) -> None:
+        nonlocal steps
+        steps += 1
+        if not steps & 1023:
+            _check_deadline(deadline)
+        on_path[x] = True
+        path.append(x)
+        for z in nbrs[x]:
+            near[z] += 1
+
+    def pop() -> None:
+        x = path.pop()
+        on_path[x] = False
+        for z in nbrs[x]:
+            near[z] -= 1
+
+    for r in range(n):  # every vertex still alive is above r
+        if not alive[r]:
             continue
-        seen.add(vs)
-        mk = sum(map(bits.__getitem__, vs))
-        if len(vs) > 1 and mk & looped:
-            continue
-        if len(vs) > 2 and (
-            sum((mk & nbrs[v]).bit_count() for v in vs) > 2 * len(vs)
-            or any((mk & p) == p for p in doubled)
-        ):
-            continue
-        kept.append(c)
-        masks.append(mk)
-    return kept, masks
+        closing = single[r]
+        push(r)
+        for y0, e0 in closing.items():
+            if not alive[y0]:
+                continue
+            b = block[e0]
+            push(y0)
+            path_edges.append(e0)
+            frames = [iter(single[y0].items())]
+            while frames:
+                for y, eid in frames[-1]:
+                    if not alive[y] or on_path[y] or block[eid] != b:
+                        continue
+                    if near[y] == 1:  # only the last path vertex is adjacent
+                        push(y)
+                        path_edges.append(eid)
+                        frames.append(iter(single[y].items()))
+                        break
+                    # adjacent to the last path vertex and r: the path closes
+                    if near[y] == 2 and y in closing and e0 < closing[y]:
+                        out.append(
+                            Cycle(
+                                (*path_edges, eid, closing[y]),
+                                tuple(sorted((*path, y))),
+                            )
+                        )
+                else:
+                    frames.pop()
+                    pop()
+                    path_edges.pop()
+        pop()
+        drop(r)
+    return out
 
 
 # -- feedback vertex set ---------------------------------------------------
@@ -492,15 +617,16 @@ def _mis_over_masks(
 def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     """Maximum cycle packing via independent set over vertex-minimal cycles.
 
-    Enumerates all cycles, keeps the vertex-minimal ones (`_vertex_minimal`)
+    Enumerates the vertex-minimal cycles (`enumerate_cycles(minimal=True)`)
     and packs them with `_mis_over_masks`.  The time limit bounds both the
     enumeration and the search.
     """
     deadline = _deadline(time_limit_s)
-    cycles = enumerate_cycles(g, deadline=deadline)
-    cycles, masks = _vertex_minimal(
-        g, sorted(cycles, key=lambda c: (len(c.vertices), c.edges))
+    cycles = sorted(
+        enumerate_cycles(g, deadline=deadline, minimal=True),
+        key=lambda c: (len(c.vertices), c.edges),
     )
+    masks = [sum(1 << v for v in c.vertices) for c in cycles]
     lens = [len(c.vertices) for c in cycles]
     picked = _mis_over_masks(masks, lens, g.n, deadline)
     chosen = tuple(sorted(cycles[i].edges for i in picked))

@@ -1,17 +1,21 @@
-"""Reference cycle packing by direct branching, used to cross-check
-`jonescheck.solvers.cp_exact`.
+"""Reference cycle packing by direct branching, and the reference filter
+for vertex-minimal cycles, used to cross-check `jonescheck.solvers`.
 
-This is the earlier fallback kept word for word: it branches on the
+`_cp_branch` is the earlier fallback kept word for word: it branches on the
 lowest-index vertex on a cycle, either deleting it or packing one of the
 cycles through it, which it lists with a recursive depth-first search.  It
 never enumerates the cycles of the whole graph, so it shares no code with
 `cp_exact` beyond the witness check.
+
+`_vertex_minimal` is the filter `cp_exact` applied to the list of all
+cycles before `enumerate_cycles(minimal=True)` listed the kept ones
+directly; it is kept word for word as well.
 """
 
 from __future__ import annotations
 
 from jonescheck.multigraph import Multigraph, delete_vertices
-from jonescheck.solvers import CyclePacking, _check_deadline
+from jonescheck.solvers import Cycle, CyclePacking, _check_deadline
 
 
 def _cycles_through(adj, loops, v, alive) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -86,3 +90,51 @@ def _cp_branch(g: Multigraph, deadline: float | None) -> CyclePacking:
     cp = CyclePacking(tuple(sorted(best)), len(best), optimal=True)
     cp.verify(g)
     return cp
+
+
+def _vertex_minimal(
+    g: Multigraph, cycles: list[Cycle]
+) -> tuple[list[Cycle], list[int]]:
+    """Cycles with no other cycle on a subset of their vertices, one per set.
+
+    Keeps the first cycle of each vertex set in the given order and returns
+    the kept cycles with their vertex bitmasks.  Drops a cycle on two or
+    more vertices when one of them has a loop, and a cycle on three or more
+    when its vertex set also induces a chord or a parallel edge: its vertex
+    set then induces more edges than its length, and the extra edge closes
+    a cycle on a strict subset.  (The plain chordless test is wrong on
+    multigraphs: it would drop every 2-cycle of a triple edge.)  Any packing
+    can trade a dropped cycle for a kept one on a subset of its vertices, so
+    the maximum packing size is unchanged.
+    """
+    bits = [1 << v for v in range(g.n)]
+    nbrs = [0] * g.n  # neighbor bitmask of each vertex
+    looped = 0  # vertices with a loop
+    doubled = []  # vertex pairs joined by two or more edges
+    for u, v in g.edges:
+        if u == v:
+            looped |= bits[u]
+        elif nbrs[u] & bits[v]:
+            doubled.append(bits[u] | bits[v])
+        else:
+            nbrs[u] |= bits[v]
+            nbrs[v] |= bits[u]
+    seen: set[tuple[int, ...]] = set()  # the rules depend on the vertex set only
+    kept: list[Cycle] = []
+    masks: list[int] = []
+    for c in cycles:
+        vs = c.vertices
+        if vs in seen:
+            continue
+        seen.add(vs)
+        mk = sum(map(bits.__getitem__, vs))
+        if len(vs) > 1 and mk & looped:
+            continue
+        if len(vs) > 2 and (
+            sum((mk & nbrs[v]).bit_count() for v in vs) > 2 * len(vs)
+            or any((mk & p) == p for p in doubled)
+        ):
+            continue
+        kept.append(c)
+        masks.append(mk)
+    return kept, masks

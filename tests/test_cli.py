@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jonescheck import cli, graphs, io
+from jonescheck.multigraph import Multigraph
 
 
 def _run(capsys, argv):
@@ -71,6 +72,26 @@ def test_reduce(capsys, corpus_file):
             assert leaf["label"] in ("acyclic", "essentially_4ec", "small")
         for cert in rec["certificates"]:
             assert cert["holds"]
+
+
+def test_reduce_time_limit(capsys, tmp_path):
+    # two dodecahedra, each with one edge subdivided, joined by a bridge
+    # between the new vertices: the bridge certificate solves all 42 vertices
+    d = graphs.dodecahedron()
+    (u, v), rest = d.edges[0], d.edges[1:]
+    half = [(u, d.n), (d.n, v), *rest]
+    shift = d.n + 1
+    edges = half + [(a + shift, b + shift) for a, b in half] + [(d.n, d.n + shift)]
+    p = tmp_path / "graphs.s6"
+    inputs = [Multigraph(2 * shift, tuple(edges)), graphs.complete(4)]
+    p.write_text("".join(io.serialize(g, "s6").decode() + "\n" for g in inputs))
+    code, records = _run(
+        capsys,
+        ["reduce", "--input", str(p), "--certificates", "--time-limit-ms", "1"],
+    )
+    assert code == 0
+    assert [r["status"] for r in records] == ["skipped", "ok"]
+    assert records[1]["leaves"] == [{"n": 4, "m": 6, "label": "small"}]
 
 
 def test_verify_corpus_class(capsys):

@@ -24,6 +24,63 @@ def test_enumerate_cycles_deadline():
         )
 
 
+@pytest.mark.parametrize("minimal", [False, True])
+def test_enumerate_cycles_deadline_per_step(minimal):
+    # C_1500 has one cycle, found only after about 1,500 search steps, so the
+    # deadline must be checked per step, not per cycle found
+    with pytest.raises(solvers.SolverLimit):
+        solvers.enumerate_cycles(
+            graphs.cycle(1500), deadline=time.monotonic() - 1.0, minimal=minimal
+        )
+
+
+def _bridged_squares(k: int) -> Multigraph:
+    """k 4-cycles, each joined to the next by a bridge from its vertex 2 to
+    the next one's vertex 0; subcubic and planar."""
+    edges = []
+    for b in range(0, 4 * k, 4):
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 3, b)]
+        if b:
+            edges.append((b - 2, b))
+    return Multigraph(4 * k, tuple(edges))
+
+
+def test_cp_bridged_squares_within_blocks():
+    # an induced path that crossed the bridges could pass each square on
+    # either side, doubling per square; the search stays in one block
+    assert solvers.cp_exact(_bridged_squares(400), time_limit_s=1.0).size == 400
+    assert solvers.cp_exact(_bridged_squares(18), time_limit_s=0.5).size == 18
+
+
+def test_cp_long_path_and_cycle_linear():
+    # each root is dropped after its search and vertices left with fewer
+    # than two live neighbours are peeled, so no O(n^2) walk remains
+    assert solvers.cp_exact(graphs.path(1500), time_limit_s=0.5).size == 0
+    assert solvers.cp_exact(graphs.cycle(1500), time_limit_s=0.5).size == 1
+
+
+def _assert_minimal_matches_oracle(g: Multigraph) -> None:
+    def key(c):
+        return (len(c.vertices), c.edges)
+
+    kept, _ = cp_oracle._vertex_minimal(g, sorted(solvers.enumerate_cycles(g), key=key))
+    assert sorted(solvers.enumerate_cycles(g, minimal=True), key=key) == kept
+
+
+def test_minimal_cycles_match_oracle_random():
+    # theta() and two_triples pin the triple-edge pitfall: a plain chordless
+    # test would drop every 2-cycle of a triple edge
+    two_triples = Multigraph(4, ((0, 1),) * 3 + ((2, 3),) * 3 + ((1, 2),))
+    rng = random.Random(1309)
+    for g in [graphs.theta(), two_triples] + [_random_multigraph(rng) for _ in range(2000)]:
+        _assert_minimal_matches_oracle(g)
+
+
+def test_minimal_cycles_match_oracle_multi_corpus(multi_corpus_8):
+    for g in multi_corpus_8:
+        _assert_minimal_matches_oracle(g)
+
+
 def test_fvs_examples():
     assert solvers.fvs_exact(graphs.complete(4)).size == 2
     assert solvers.fvs_bruteforce(graphs.complete(4)).size == 2
@@ -207,8 +264,10 @@ def test_time_limit_raises():
 
 
 def test_cp_time_limit_bounds_enumeration():
-    # GP(18,2) takes several seconds to enumerate its cycles; the limit must
-    # stop the enumeration, not only the packing search after it
+    # GP(18,2) lists its vertex-minimal cycles in a few hundredths of a
+    # second, so the 0.2 s limit fires in the packing search; the per-step
+    # deadline of the enumeration is pinned by
+    # test_enumerate_cycles_deadline_per_step
     t0 = time.monotonic()
     with pytest.raises(solvers.SolverLimit):
         solvers.cp_exact(graphs.generalized_petersen(18, 2), time_limit_s=0.2)
