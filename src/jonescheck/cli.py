@@ -1,19 +1,25 @@
 """Command-line interface: solve | cuts | reduce | verify | generate.
 
-Emits one JSON object per line per graph, followed by a `summary` line.
-Exit status is 0 unless an assertion-level check fails (a violated theorem or
-an internal witness verification error); conjecture-level violations are
-reported in-band with status "CONJECTURE-VIOLATION" but do not fail the run.
+`solve`, `cuts`, `reduce` and `verify` write one JSON object per graph, in
+input order and flushed as each finishes, followed by a `summary` line.  A
+graph whose work raises gets a `status: "error"` record and the batch goes
+on.  Exit status is 0 unless a graph errors or an assertion-level check fails
+(a violated theorem, a certificate that does not hold, or an internal witness
+verification error); conjecture-level violations are reported in-band with
+status "CONJECTURE-VIOLATION" but do not fail the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import multiprocessing
 import sys
+import traceback
 
-from . import harness, io, reduction, solvers, structure
+from . import harness, io, solvers, structure
 from .multigraph import Multigraph
 
 FORMAT_ALIASES = {"g6": "graph6", "s6": "sparse6", "edges": "edge-list"}
@@ -50,120 +56,144 @@ def _read_graphs(args) -> list[Multigraph]:
     return graphs
 
 
-def _emit(args, lines) -> None:
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
-        for line in lines:
-            out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _output(path: str | None):
+    """The report stream: stdout, or the file at `path`, closed on exit."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
-def _time_limit_s(args) -> float | None:
-    return args.time_limit_ms / 1000.0 if args.time_limit_ms else None
+# -- per-graph work ------------------------------------------------------------
+# Each takes (index, graph, time limit) and returns the graph's record, the
+# counts it adds to the summary, and whether it fails the run.
 
 
-def _solve_one(task) -> dict:
-    idx, g, limit = task
+def _solve_one(idx, g, limit):
     rec: dict = {"index": idx, "n": g.n, "m": g.m, "graph_id": harness.graph_digest(g)}
     try:
         fvs = solvers.fvs_exact(g, time_limit_s=limit)
         cp = solvers.cp_exact(g, time_limit_s=limit)
-        rec["fvs"] = solvers.witness_to_dict(fvs)
-        rec["cp"] = solvers.witness_to_dict(cp)
-        rec["jones2"] = fvs.size <= 2 * cp.size
-        rec["status"] = "ok"
     except solvers.SolverLimit:
         rec["status"] = "skipped"
-    return rec
-
-
-def cmd_solve(args) -> int:
-    graphs = _read_graphs(args)
-    tasks = [(i, g, _time_limit_s(args)) for i, g in enumerate(graphs)]
-    records = list(_map(args.jobs, _solve_one, tasks))
-    failures = sum(not r.get("jones2", True) for r in records)
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    lines.append(
-        json.dumps(
-            {"summary": True, "graphs": len(records), "violations": failures},
-            sort_keys=True,
-        )
+        return rec, {}, False
+    rec.update(
+        fvs=solvers.witness_to_dict(fvs),
+        cp=solvers.witness_to_dict(cp),
+        jones2=fvs.size <= 2 * cp.size,
+        status="ok",
     )
-    _emit(args, lines)
+    violated = not rec["jones2"]
     # a jones2 violation on a subcubic planar input would contradict a theorem
-    bad = any(
-        not r.get("jones2", True)
-        for r, g in zip(records, graphs)
-        if g.is_subcubic() and structure.is_planar(g)
-    )
-    return 1 if bad else 0
+    theorem = violated and g.is_subcubic() and structure.is_planar(g)
+    return rec, {"violations": violated}, theorem
 
 
-def cmd_cuts(args) -> int:
-    lines = []
-    for idx, g in enumerate(_read_graphs(args)):
-        found = list(structure._small_cuts(g))
-        cuts = [
+def _cuts_one(idx, g, limit):
+    found = list(structure._small_cuts(g))
+    ess4, cyc4 = structure._cut_flags(g, found)
+    rec = {
+        "index": idx,
+        "graph_id": harness.graph_digest(g),
+        "cuts": [
             {"edges": list(c.edges), "trivial": c.trivial, "cyclic": c.cyclic}
             for c in found
-        ]
-        ess4, cyc4 = structure._cut_flags(g, found)
-        lines.append(
-            json.dumps(
-                {
-                    "index": idx,
-                    "graph_id": harness.graph_digest(g),
-                    "cuts": cuts,
-                    "essentially_4ec": ess4,
-                    "cyclically_4ec": cyc4,
-                },
-                sort_keys=True,
-            )
-        )
-    _emit(args, lines)
-    return 0
+        ],
+        "essentially_4ec": ess4,
+        "cyclically_4ec": cyc4,
+    }
+    return rec, {}, False
 
 
-def cmd_reduce(args) -> int:
-    lines = []
-    bad = False
-    for idx, g in enumerate(_read_graphs(args)):
-        rec: dict = {"index": idx, "graph_id": harness.graph_digest(g)}
-        try:
-            res = harness.reduce_pipeline(
-                g, with_certificates=args.certificates, time_limit_s=_time_limit_s(args)
-            )
-        except solvers.SolverLimit:
-            rec["status"] = "skipped"
-        else:
-            certs = [c.to_dict() for c in res.certificates]
-            bad = bad or any(not c["holds"] for c in certs)
-            rec.update(
-                status="ok",
-                decompositions=[d.kind for d in res.decompositions],
-                leaves=[
-                    {"n": l.graph.n, "m": l.graph.m, "label": l.label}
-                    for l in res.leaves
-                ],
-                certificates=certs,
-            )
-        lines.append(json.dumps(rec, sort_keys=True))
-    _emit(args, lines)
-    return 1 if bad else 0
+def _reduce_one(certificates, idx, g, limit):
+    rec: dict = {"index": idx, "graph_id": harness.graph_digest(g)}
+    try:
+        res = harness.reduce_pipeline(g, with_certificates=certificates, time_limit_s=limit)
+    except solvers.SolverLimit:
+        rec["status"] = "skipped"
+        return rec, {"skipped": 1}, False
+    certs = [c.to_dict() for c in res.certificates]
+    bad = any(not c["holds"] for c in certs)
+    rec.update(
+        status="ok",
+        decompositions=[d.kind for d in res.decompositions],
+        leaves=[{"n": l.graph.n, "m": l.graph.m, "label": l.label} for l in res.leaves],
+        certificates=certs,
+    )
+    return rec, {"certificate_failures": bad}, bad
 
 
-def _verify_one(task):
-    g, limit = task
-    return harness.run_checks(g, limit)
+def _verify_one(idx, g, limit):
+    res = harness.run_checks(g, limit)
+    rec = {**json.loads(res.to_json()), "index": idx}
+    violations = res.conjecture_violations()
+    if violations:
+        rec["status"] = "CONJECTURE-VIOLATION"
+    failures = res.assertion_failures()
+    counts = {
+        "assertion_failures": bool(failures),
+        "conjecture_violations": bool(violations),
+        "skipped": bool(res.skipped),
+    }
+    return rec, counts, bool(failures)
+
+
+# -- the batch driver ----------------------------------------------------------
+
+
+def _run_one(fn, task):
+    """`fn` on one task, with its record as a JSON line; an exception becomes
+    an error record, so one bad graph cannot lose the batch."""
+    idx, g, limit = task
+    try:
+        rec, counts, failed = fn(idx, g, limit)
+    except Exception as exc:
+        print(f"jonescheck: graph {idx}:", file=sys.stderr)
+        traceback.print_exc()
+        rec = {"index": idx, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        counts, failed = {"errors": 1}, True
+    return json.dumps(rec, sort_keys=True), counts, failed
 
 
 def _map(jobs, fn, tasks):
+    """`fn` over the iterable `tasks`, lazily and in order: in process with
+    one job, else on a pool of `jobs` worker processes."""
     if jobs <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with multiprocessing.Pool(jobs) as pool:
-        return list(pool.imap(fn, tasks, chunksize=16))
+        yield from pool.imap(fn, tasks, chunksize=16)
+
+
+def _batch(args, fn, graphs, totals: tuple[str, ...] = ()) -> int:
+    """Run `fn` on every graph and write each record, flushed, as it
+    arrives in input order; then write the summary: the graph count, the
+    sum of each count in `totals`, and `errors` when there were any.
+    Returns the exit status: 1 if any graph failed the run, else 0."""
+    limit = args.time_limit_ms / 1000.0 if args.time_limit_ms else None
+    tasks = ((i, g, limit) for i, g in enumerate(graphs))
+    summary = {"summary": True, "graphs": 0, **dict.fromkeys(totals, 0)}
+    failed = False
+    with _output(args.output) as out:
+        for line, counts, bad in _map(args.jobs, functools.partial(_run_one, fn), tasks):
+            out.write(line + "\n")
+            out.flush()
+            summary["graphs"] += 1
+            for key, n in counts.items():
+                summary[key] = summary.get(key, 0) + n
+            failed = failed or bad
+        out.write(json.dumps(summary, sort_keys=True) + "\n")
+    return 1 if failed else 0
+
+
+def cmd_solve(args) -> int:
+    return _batch(args, _solve_one, _read_graphs(args), ("violations",))
+
+
+def cmd_cuts(args) -> int:
+    return _batch(args, _cuts_one, _read_graphs(args))
+
+
+def cmd_reduce(args) -> int:
+    fn = functools.partial(_reduce_one, args.certificates)
+    return _batch(args, fn, _read_graphs(args), ("skipped", "certificate_failures"))
 
 
 def _corpus_spec(args) -> harness.CorpusSpec:
@@ -175,50 +205,18 @@ def _corpus_spec(args) -> harness.CorpusSpec:
 
 def cmd_verify(args) -> int:
     if args.cls:
-        graphs = list(harness.generate_corpus(_corpus_spec(args)))
+        graphs = harness.generate_corpus(_corpus_spec(args))
     else:
         graphs = _read_graphs(args)
-    tasks = [(g, _time_limit_s(args)) for g in graphs]
-    records = _map(args.jobs, _verify_one, tasks)
-    lines = []
-    n_assert = n_conj = n_skip = 0
-    for rec in records:
-        line = rec.to_json()
-        if rec.assertion_failures():
-            n_assert += 1
-        if rec.conjecture_violations():
-            n_conj += 1
-            line = json.dumps(
-                {**json.loads(line), "status": "CONJECTURE-VIOLATION"}, sort_keys=True
-            )
-        if rec.skipped:
-            n_skip += 1
-        lines.append(line)
-    lines.append(
-        json.dumps(
-            {
-                "summary": True,
-                "graphs": len(records),
-                "assertion_failures": n_assert,
-                "conjecture_violations": n_conj,
-                "skipped": n_skip,
-            },
-            sort_keys=True,
-        )
-    )
-    _emit(args, lines)
-    return 1 if n_assert else 0
+    totals = ("assertion_failures", "conjecture_violations", "skipped")
+    return _batch(args, _verify_one, graphs, totals)
 
 
 def cmd_generate(args) -> int:
-    lines = []
-    for g in harness.generate_corpus(_corpus_spec(args)):
-        lines.append(io.serialize(g, "sparse6").decode())
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        _emit(args, lines)
+    spec = _corpus_spec(args)
+    with _output(args.out or args.output) as out:
+        for g in harness.generate_corpus(spec):
+            out.write(io.serialize(g, "sparse6").decode() + "\n")
     return 0
 
 

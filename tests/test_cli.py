@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jonescheck import cli, graphs, io
+from jonescheck import cli, graphs, harness, io, solvers
 from jonescheck.multigraph import Multigraph
 
 
@@ -34,11 +34,30 @@ def test_solve(capsys, corpus_file):
     assert k4["jones2"]
 
 
-def test_solve_jobs(capsys, corpus_file):
-    code1, lines1 = _run(capsys, ["solve", "--input", corpus_file])
-    code2, lines2 = _run(capsys, ["solve", "--input", corpus_file, "--jobs", "2"])
+@pytest.fixture(scope="module")
+def sweep_file(tmp_path_factory):
+    """48 graphs: three chunks of the process pool's imap, so both workers
+    get some."""
+    p = tmp_path_factory.mktemp("sweep") / "graphs.s6"
+    spec = harness.CorpusSpec("subcubic-planar-simple", 6)
+    p.write_bytes(b"".join(io.serialize(g, "s6") + b"\n" for g in harness.generate_corpus(spec)))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["cuts"], ["reduce", "--certificates"], ["verify"]],
+    ids=["solve", "cuts", "reduce", "verify"],
+)
+def test_jobs_same_records(capsys, sweep_file, argv):
+    code1, lines1 = _run(capsys, [*argv, "--input", sweep_file])
+    code2, lines2 = _run(capsys, [*argv, "--input", sweep_file, "--jobs", "2"])
     assert code1 == code2 == 0
-    assert [l["graph_id"] for l in lines1[:-1]] == [l["graph_id"] for l in lines2[:-1]]
+    assert lines1[-1] == lines2[-1] == {**lines1[-1], "summary": True, "graphs": 48}
+    for rec in lines1 + lines2:
+        rec.pop("wall_time", None)  # verify's timings
+    assert [r["index"] for r in lines2[:-1]] == list(range(48))
+    assert lines1 == lines2
 
 
 def test_solve_long_path(capsys, tmp_path):
@@ -60,6 +79,7 @@ def test_cuts(capsys, corpus_file):
     assert len(nontrivial) == 1 and len(nontrivial[0]["edges"]) == 3
     assert not prism["cyclically_4ec"]
     assert lines[0]["cyclically_4ec"]  # K4
+    assert lines[-1] == {"summary": True, "graphs": 3}
 
 
 def test_reduce(capsys, corpus_file):
@@ -67,7 +87,11 @@ def test_reduce(capsys, corpus_file):
         capsys, ["reduce", "--input", corpus_file, "--certificates"]
     )
     assert code == 0
-    for rec in lines:
+    *records, summary = lines
+    assert summary == {
+        "summary": True, "graphs": 3, "skipped": 0, "certificate_failures": 0
+    }
+    for rec in records:
         for leaf in rec["leaves"]:
             assert leaf["label"] in ("acyclic", "essentially_4ec", "small")
         for cert in rec["certificates"]:
@@ -85,11 +109,13 @@ def test_reduce_time_limit(capsys, tmp_path):
     p = tmp_path / "graphs.s6"
     inputs = [Multigraph(2 * shift, tuple(edges)), graphs.complete(4)]
     p.write_text("".join(io.serialize(g, "s6").decode() + "\n" for g in inputs))
-    code, records = _run(
+    code, lines = _run(
         capsys,
         ["reduce", "--input", str(p), "--certificates", "--time-limit-ms", "1"],
     )
     assert code == 0
+    *records, summary = lines
+    assert summary["skipped"] == 1
     assert [r["status"] for r in records] == ["skipped", "ok"]
     assert records[1]["leaves"] == [{"n": 4, "m": 6, "label": "small"}]
 
@@ -101,9 +127,15 @@ def test_verify_corpus_class(capsys):
     )
     assert code == 0
     summary = lines[-1]
-    assert summary["graphs"] == 48
-    assert summary["assertion_failures"] == 0
-    assert summary["conjecture_violations"] == 0
+    # a clean run's summary has these five keys and no others
+    assert summary == {
+        "summary": True,
+        "graphs": 48,
+        "assertion_failures": 0,
+        "conjecture_violations": 0,
+        "skipped": 0,
+    }
+    assert [r["index"] for r in lines[:-1]] == list(range(48))
 
 
 def test_verify_stdin(capsys, monkeypatch):
@@ -124,6 +156,50 @@ def test_verify_edges_format(capsys, tmp_path):
     )
     assert code == 0
     assert lines[0]["values"] == {"cp": 2, "fvs": 2, "fp_fixed": 2}
+
+
+def test_verify_streams_records(tmp_path, corpus_file, monkeypatch):
+    # each record is written and flushed before the next graph is checked
+    out = tmp_path / "report.jsonl"
+    seen = []
+    run_checks = harness.run_checks
+
+    def spy(g, limit):
+        seen.append(out.read_text() if out.exists() else None)
+        return run_checks(g, limit)
+
+    monkeypatch.setattr(harness, "run_checks", spy)
+    argv = ["verify", "--input", corpus_file, "--jobs", "1", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert len(seen) == 3
+    first = seen[1] or ""
+    assert first.endswith("\n") and len(first.splitlines()) == 1
+    assert json.loads(first)["index"] == 0
+    assert out.read_text().startswith(first)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_error_record_keeps_batch(capsys, corpus_file, monkeypatch, command, jobs):
+    # pool workers are forked, so they inherit the patch
+    cp_exact = solvers.cp_exact
+
+    def broken(g, *args, **kwargs):
+        if g.n == 6:  # the prism
+            raise RuntimeError("no packing today")
+        return cp_exact(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "cp_exact", broken)
+    code = cli.main([command, "--input", corpus_file, "--jobs", jobs])
+    assert code == 1
+    out, err = capsys.readouterr()
+    if jobs == "1":  # pool workers write their tracebacks to their own stderr
+        assert "jonescheck: graph 1:" in err and "no packing today" in err
+    k4, prism, theta, summary = map(json.loads, out.splitlines())
+    assert prism == {"index": 1, "status": "error", "error": "RuntimeError: no packing today"}
+    assert (k4["index"], theta["index"]) == (0, 2)
+    assert k4["values" if command == "verify" else "cp"] and "error" not in theta
+    assert summary["graphs"] == 3 and summary["errors"] == 1
 
 
 def test_generate(capsys, tmp_path):
