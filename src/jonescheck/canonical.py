@@ -5,6 +5,10 @@ isomorphic, respecting loops and edge multiplicities.  No external
 isomorphism engine is involved.
 
 The vertices are first coloured by iterated degree/neighbourhood refinement.
+On a regular graph that refinement stalls with every vertex in one class;
+there, and only there, the class is split once by the number of vertices at
+each distance from a vertex (BFS layers), and refinement goes on.  Both
+keys are isomorphism invariants, so the colouring stays canonical.
 An ordering of the vertices then encodes the graph as one element per
 position: (colour, loops, row), where the row holds the multiplicities to
 the vertices at earlier positions.  The canonical form is the largest
@@ -15,9 +19,16 @@ only the unplaced vertices of its class.  A vertex's row is kept sparse, as
 the list of `(-position, multiplicity)` pairs of its placed neighbours; it
 compares exactly like the dense row.  The search branches only where several
 vertices tie on the largest element, and it abandons a branch as soon as its
-prefix falls below the best encoding found.  Intended scale is n <= ~20;
-large graphs work, but highly symmetric ones are slow (no automorphism
-pruning).
+prefix falls below the best encoding found.
+
+A leaf that ties the best encoding gives an automorphism, best order ->
+this order.  The search prunes with these as in McKay & Piperno ("Practical
+graph isomorphism, II", J. Symb. Comput. 60, 2014): at a branching it skips
+each candidate in the orbit of a searched sibling under the automorphisms
+that fix the prefix pointwise, and after a tied leaf it backjumps to the
+branching where that leaf left the best order.  Either way the subtree left
+out is the image of one already searched, so the maximum, and with it the
+bytes, do not change.  There is no refinement after a vertex is placed.
 
 The bytes are n, then per position the loop count and the dense row.  A
 value below 255 is one byte; a larger one is the byte 255 followed by the
@@ -27,6 +38,25 @@ value in 4 big-endian bytes, so the encoding stays injective.
 from __future__ import annotations
 
 from .multigraph import Multigraph
+
+
+def _layer_sizes(n: int, neigh: list[list[tuple[int, int]]], v: int) -> tuple[int, ...]:
+    """How many vertices lie at distance 1, 2, ... from `v`."""
+    seen = [False] * n
+    seen[v] = True
+    frontier = [v]
+    sizes = []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for u, _ in neigh[x]:
+                if not seen[u]:
+                    seen[u] = True
+                    nxt.append(u)
+        if nxt:
+            sizes.append(len(nxt))
+        frontier = nxt
+    return tuple(sizes)
 
 
 def _refined_colors(
@@ -47,11 +77,29 @@ def _refined_colors(
         ]
         distinct = set(keys2)
         if len(distinct) == ncolors:  # stable: the ranks would not change
-            return colors
+            if ncolors > 1:
+                return colors
+            # one class (a regular graph): split once by distance layers.
+            # With one color, the sorted colors at each distance are just
+            # the layer sizes.
+            keys2 = [(0, _layer_sizes(n, neigh, v)) for v in range(n)]
+            distinct = set(keys2)
+            if len(distinct) == 1:
+                return colors
         order = {k: i for i, k in enumerate(sorted(distinct))}
         colors = [order[k] for k in keys2]
         ncolors = len(order)
     return colors
+
+
+def _find(root: dict[int, int], x: int) -> int:
+    """Union-find root of `x`; a vertex missing from `root` is its own root."""
+    while x in root:
+        up = root[x]
+        if up in root:
+            up = root[x] = root[up]
+        x = up
+    return x
 
 
 def _put(out: bytearray, x: int) -> None:
@@ -91,6 +139,9 @@ def canonical_form(g: Multigraph) -> bytes:
     # stays as it was when the vertex was placed
     best: list[list[tuple[int, int]]] | None = None
     best_order: list[int] = []
+    # automorphisms found at tied leaves, each as the (vertex, image) pairs
+    # of the vertices it moves
+    autos: list[list[tuple[int, int]]] = []
 
     def place(v: int) -> None:
         p = -len(order)
@@ -107,16 +158,26 @@ def canonical_form(g: Multigraph) -> bytes:
             if not placed[u]:
                 rows[u].pop()
 
-    def extend(tied: bool) -> None:
+    def extend(tied: bool) -> int:
         # `tied`: the prefix equals the best encoding's prefix, so a smaller
-        # element prunes the branch
+        # element prunes the branch.  Returns the position of the branching
+        # to backjump to, or n for none.
         nonlocal best, best_order
         start = len(order)
+        jump = n
         while True:
             p = len(order)
             if p == n:
                 if not tied:
                     best, best_order = [rows[v][:] for v in order], order[:]
+                    break
+                # the same encoding as the best: best_order[i] -> order[i] is
+                # an automorphism, and the subtree below the position where
+                # the two orders part is its image of a subtree already searched
+                jump = next(i for i in range(n) if best_order[i] != order[i])
+                autos.append(
+                    [(a, b) for a, b in zip(best_order[jump:], order[jump:]) if a != b]
+                )
                 break
             free = [v for v in slot[p] if not placed[v]]
             if len(free) == 1:
@@ -132,16 +193,37 @@ def canonical_form(g: Multigraph) -> bytes:
             if len(cands) == 1:
                 place(cands[0])
                 continue
+            # orbits of the automorphisms that fix the prefix pointwise; a
+            # candidate in the orbit of a searched one has an isomorphic subtree
+            root: dict[int, int] = {}
+            merged = 0
+            searched: set[int] = set()
             for v in cands:
+                if merged < len(autos):
+                    for moved in autos[merged:]:
+                        if not any(placed[a] for a, _ in moved):
+                            for a, b in moved:
+                                ra, rb = _find(root, a), _find(root, b)
+                                if ra != rb:
+                                    root[ra] = rb
+                    merged = len(autos)
+                    searched = {_find(root, u) for u in searched}
+                if _find(root, v) in searched:
+                    continue
                 before = best
                 place(v)
-                extend(tied)
+                j = extend(tied)
                 unplace()
                 # a new best extends this prefix and `top`
                 tied = tied or best is not before
+                if j < p:
+                    jump = j
+                    break
+                searched.add(_find(root, v))
             break
         while len(order) > start:
             unplace()
+        return jump
 
     extend(False)
     assert best is not None

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
 import canonical_oracle
-from jonescheck import graphs
+from jonescheck import graphs, structure
 from jonescheck.canonical import are_isomorphic, canonical_form
 from jonescheck.multigraph import Multigraph
 
@@ -103,26 +105,206 @@ def _random_oracle_graph(rng: random.Random) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
+def _regular(g: Multigraph) -> bool:
+    """Colour refinement leaves one class: the graph is regular, with the
+    same loops and the same multiplicities at every vertex."""
+    loops = [0] * g.n
+    mult: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
+    neigh = [sorted(m.items()) for m in mult]
+    return g.n > 1 and max(canonical_oracle._refined_colors(g.n, tuple(loops), neigh)) == 0
+
+
+def _assert_matches_oracle(gs: list[Multigraph]) -> None:
+    """Bytes equal the oracle's on every non-regular graph.  On regular
+    graphs the distance-layer split may change them, so there the forms
+    must give the same classes: cf(a) == cf(b) exactly when the oracle's
+    forms are equal."""
+    new = [canonical_form(g) for g in gs]
+    old = [canonical_oracle.canonical_form(g) for g in gs]
+    for g, a, b in zip(gs, new, old):
+        if not _regular(g):
+            assert a == b, g
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
+
+
+def _random_cubic_planar(rng: random.Random, n: int) -> Multigraph:
+    """K4 grown by one move: subdivide two edges of a face and join the two
+    new vertices across it."""
+    faces = [[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for a in range(4, n, 2):
+        b = a + 1
+        f = faces.pop(rng.randrange(len(faces)))
+        i, j = sorted(rng.sample(range(len(f)), 2))
+        for x, y, mid in ((f[i], f[(i + 1) % len(f)], a), (f[j], f[(j + 1) % len(f)], b)):
+            edges.remove((x, y) if (x, y) in edges else (y, x))
+            edges += [(x, mid), (mid, y)]
+            # the one other face along the edge x-y
+            for h in faces:
+                k = next((k for k in range(len(h)) if {h[k], h[k - 1]} == {x, y}), None)
+                if k is not None:
+                    h.insert(k, mid)
+                    break
+        edges.append((a, b))
+        faces += [f[: i + 1] + [a, b] + f[j + 1 :], [a] + f[i + 1 : j + 1] + [b]]
+    return Multigraph(n, tuple(edges))
+
+
 def test_matches_oracle_random():
     rng = random.Random(4242)
-    for _ in range(2000):
-        g = _random_oracle_graph(rng)
-        assert canonical_form(g) == canonical_oracle.canonical_form(g), g
+    gs = [_random_oracle_graph(rng) for _ in range(2000)]
+    for n in range(4, 22, 2):
+        for _ in range(4):
+            g = _random_cubic_planar(rng, n)
+            assert g.is_cubic() and structure.is_planar(g)
+            gs.append(g)
+    regular = [g for g in gs if _regular(g)]
+    assert len(regular) > 40
+    copies = []
+    for g in regular:
+        perm = list(range(g.n))
+        for _ in range(2):
+            rng.shuffle(perm)
+            copies.append(_permuted(g, perm))
+    _assert_matches_oracle(gs + copies)
+
+
+NAMED = {
+    "K4": graphs.complete(4),
+    "petersen": graphs.petersen(),
+    "cube": graphs.cube(),
+    "dodecahedron": graphs.dodecahedron(),
+    "GP(14,2)": graphs.generalized_petersen(14, 2),
+    "GP(10,3)": graphs.generalized_petersen(10, 3),
+    "GP(12,2)": graphs.generalized_petersen(12, 2),
+    "W6": graphs.wheel(6),
+    "P7": graphs.path(7),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_matches_oracle_named(name):
+    # the graph, two relabelled copies, and the other named graphs
+    g = NAMED[name]
+    rng = random.Random(name)
+    copies = []
+    for _ in range(2):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copies.append(_permuted(g, perm))
+    _assert_matches_oracle([g, *copies, *NAMED.values()])
+
+
+def _brute_iso(a: Multigraph, b: Multigraph) -> bool:
+    """Exhaustive search for a bijection that keeps every multiplicity."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    ma, mb = Counter(map(frozenset, a.edges)), Counter(map(frozenset, b.edges))
+    image: list[int] = []
+
+    def search() -> bool:
+        u = len(image)
+        if u == a.n:
+            return True
+        for x in range(b.n):
+            if x in image:
+                continue
+            image.append(x)
+            # u's loops and its edges to the vertices mapped so far
+            if all(
+                ma[frozenset((u, v))] == mb[frozenset((x, image[v]))]
+                for v in range(u + 1)
+            ) and search():
+                return True
+            image.pop()
+        return False
+
+    return search()
+
+
+def _random_regular(
+    rng: random.Random, n: int, d: int, simple: bool
+) -> list[tuple[int, int]]:
+    """Configuration model: every vertex gets degree d, a loop counting twice.
+    Loops and parallel edges are kept unless `simple` (which needs d < n)."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        keys = {frozenset(e) for e in pairs}
+        if not simple or (len(keys) == len(pairs) and all(len(e) == 2 for e in keys)):
+            return pairs
+
+
+def _cycles(*lengths: int) -> Multigraph:
+    """Disjoint cycles; a length of 2 gives a single edge."""
+    edges: list[tuple[int, int]] = []
+    base = 0
+    for k in lengths:
+        edges += [(base + j, base + (j + 1) % k) for j in range(k if k > 2 else 1)]
+        base += k
+    return Multigraph(base, tuple(edges))
+
+
+def test_pruning_matches_bruteforce_regular():
+    # regular multigraphs with n <= 8, often disjoint unions, each under
+    # random relabellings: equal forms exactly when an isomorphism exists.
+    # Unions of cycles of different lengths are where the distance split
+    # splits at this size.
+    rng = random.Random(2014)
+    bases = [_cycles(*c) for c in ((3, 3), (3, 4), (3, 5), (4, 4), (6,), (7,), (8,))]
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        # every part needs an even degree sum
+        d = rng.choice((2, 4)) if any(k % 2 for k in parts) else rng.randint(1, 3)
+        simple = rng.random() < 0.6
+        edges: list[tuple[int, int]] = []
+        base = 0
+        for k in parts:
+            edges += [(base + u, base + v) for u, v in _random_regular(rng, k, d, simple and d < k)]
+            base += k
+        bases.append(Multigraph(base, tuple(edges)))
+    by_size: dict[tuple[int, int], list[Multigraph]] = {}
+    for g in bases:
+        group = by_size.setdefault((g.n, g.m), [])
+        group.append(g)
+        perm = list(range(g.n))
+        for _ in range(2):
+            rng.shuffle(perm)
+            group.append(_permuted(g, perm))
+    checked = isomorphic = 0
+    for group in by_size.values():
+        forms = [canonical_form(g) for g in group]
+        for i, j in itertools.combinations(range(len(group)), 2):
+            iso = _brute_iso(group[i], group[j])
+            assert (forms[i] == forms[j]) == iso, (group[i], group[j])
+            checked += 1
+            isomorphic += iso
+    assert isomorphic > 100 and checked - isomorphic > 1000
 
 
 @pytest.mark.parametrize(
     "g",
-    [
-        graphs.complete(4),
-        graphs.petersen(),
-        graphs.cube(),
-        graphs.dodecahedron(),
-        graphs.generalized_petersen(14, 2),
-    ],
-    ids=["K4", "petersen", "cube", "dodecahedron", "GP(14,2)"],
+    [_cycles(*[2] * 8), _cycles(*[3] * 6), graphs.cycle(300)],
+    ids=["8K2", "6K3", "C300"],
 )
-def test_matches_oracle_named(g):
-    assert canonical_form(g) == canonical_oracle.canonical_form(g)
+def test_symmetric_inputs_fast(g):
+    # exponential before automorphism pruning: 8K2 took over a minute and
+    # 6K3 about three
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    t0 = time.perf_counter()
+    assert canonical_form(g) == canonical_form(_permuted(g, perm))
+    assert time.perf_counter() - t0 < 10
+    assert canonical_form(g) != canonical_form(Multigraph(g.n, g.edges[1:]))
 
 
 def test_large_values():

@@ -71,6 +71,17 @@ def test_solve_long_path(capsys, tmp_path):
     assert lines[0]["fvs"]["size"] == lines[0]["cp"]["size"] == 0
 
 
+def test_solve_long_cycle(capsys, tmp_path):
+    # regular and symmetric: the graph id needs the distance split and the
+    # automorphism pruning of canonical_form to come in seconds
+    p = tmp_path / "cycle.txt"
+    p.write_bytes(io.serialize(graphs.cycle(1500), "edges"))
+    code, lines = _run(capsys, ["solve", "--input", str(p), "--format", "edges"])
+    assert code == 0
+    assert lines[0]["status"] == "ok" and lines[0]["n"] == 1500
+    assert lines[0]["fvs"]["size"] == lines[0]["cp"]["size"] == 1
+
+
 def test_cuts(capsys, corpus_file):
     code, lines = _run(capsys, ["cuts", "--input", corpus_file])
     assert code == 0
