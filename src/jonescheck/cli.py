@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import multiprocessing
 import sys
 import traceback
 
@@ -158,6 +157,8 @@ def _map(jobs, fn, tasks):
     if jobs <= 1:
         yield from map(fn, tasks)
         return
+    import multiprocessing  # about 12 ms at start-up, paid only with a pool
+
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(fn, tasks, chunksize=16)
 

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .canonical import canonical_form

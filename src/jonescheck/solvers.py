@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .multigraph import Multigraph, delete_vertices
-from .structure import Face, RotationSystem, faces as face_walks
+from .structure import Face, RotationSystem, _edge_blocks, faces as face_walks
 
 
 class SolverLimit(Exception):
@@ -175,50 +175,6 @@ def enumerate_cycles(
                     path_edges.pop()
                     on_path.remove(path_verts.pop())
     return out
-
-
-def _edge_blocks(adj: list[dict[int, int]], m: int) -> list[int]:
-    """Biconnected block of each edge of a graph without parallel edges.
-
-    `adj[v]` maps each neighbour of v to the id of the edge joining them;
-    ids not in the graph get -1.  One iterative Hopcroft–Tarjan pass.
-    """
-    block = [-1] * m
-    disc = [0] * len(adj)  # discovery time, 0 while unvisited
-    low = [0] * len(adj)
-    open_edges: list[int] = []  # edges of blocks not yet closed
-    clock = blocks = 0
-    for s in range(len(adj)):
-        if disc[s]:
-            continue
-        clock += 1
-        disc[s] = low[s] = clock
-        frames = [(s, -1, iter(adj[s].items()))]
-        while frames:
-            x, via, it = frames[-1]
-            for y, eid in it:
-                if not disc[y]:
-                    open_edges.append(eid)
-                    clock += 1
-                    disc[y] = low[y] = clock
-                    frames.append((y, eid, iter(adj[y].items())))
-                    break
-                if disc[y] < disc[x] and eid != via:  # back edge
-                    open_edges.append(eid)
-                    low[x] = min(low[x], disc[y])
-            else:
-                frames.pop()
-                if frames:
-                    p = frames[-1][0]
-                    low[p] = min(low[p], low[x])
-                    if low[x] >= disc[p]:  # p cuts x's subtree off: close a block
-                        while True:
-                            e = open_edges.pop()
-                            block[e] = blocks
-                            if e == via:
-                                break
-                        blocks += 1
-    return block
 
 
 def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:

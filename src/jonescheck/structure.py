@@ -7,9 +7,11 @@ plus one traversal per cut for its sides.  Planarity is decided on the
 underlying simple graph (loops and parallel edges never affect planarity).
 A graph whose 2-core has fewer than 5 vertices of degree >= 4 and fewer
 than 6 of degree >= 3 holds no Kuratowski subdivision and is planar; any
-other goes to the left-right-criterion implementation from networkx.  In an
-embedding, loops and parallels are reinserted into the rotation system next
-to their mates.
+other is split into biconnected blocks (Hopcroft & Tarjan), and each block
+goes through the same degree test and then path addition (Demoucron,
+Malgrange & Pertuiset), which also yields the block's faces.  An embedding
+reads each vertex's rotation off those faces, and loops and parallels are
+reinserted into the rotation system next to their mates.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import Iterable, Iterator, Sequence
 
 from .multigraph import Multigraph, delete_vertices
 
@@ -234,18 +234,257 @@ def find_first_cut(g: Multigraph) -> EdgeCut | None:
 # -- planarity and embeddings ---------------------------------------------
 
 
-def _nx_graph(s: Multigraph) -> nx.Graph:
-    """The simple graph s as a networkx graph."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(s.n))
-    nxg.add_edges_from(s.edges)
-    return nxg
+def _edge_blocks(adj: list[dict[int, int]], m: int) -> list[int]:
+    """Biconnected block of each edge of a graph without parallel edges.
+
+    `adj[v]` maps each neighbour of v to the id of the edge joining them;
+    ids not in the graph get -1.  One iterative Hopcroft–Tarjan pass.
+    """
+    block = [-1] * m
+    disc = [0] * len(adj)  # discovery time, 0 while unvisited
+    low = [0] * len(adj)
+    open_edges: list[int] = []  # edges of blocks not yet closed
+    clock = blocks = 0
+    for s in range(len(adj)):
+        if disc[s]:
+            continue
+        clock += 1
+        disc[s] = low[s] = clock
+        frames = [(s, -1, iter(adj[s].items()))]
+        while frames:
+            x, via, it = frames[-1]
+            for y, eid in it:
+                if not disc[y]:
+                    open_edges.append(eid)
+                    clock += 1
+                    disc[y] = low[y] = clock
+                    frames.append((y, eid, iter(adj[y].items())))
+                    break
+                if disc[y] < disc[x] and eid != via:  # back edge
+                    open_edges.append(eid)
+                    low[x] = min(low[x], disc[y])
+            else:
+                frames.pop()
+                if frames:
+                    p = frames[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] >= disc[p]:  # p cuts x's subtree off: close a block
+                        while True:
+                            e = open_edges.pop()
+                            block[e] = blocks
+                            if e == via:
+                                break
+                        blocks += 1
+    return block
+
+
+def _blocks(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The edges of each biconnected block of the simple graph on vertices
+    0..n-1 with these edges."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u][v] = adj[v][u] = eid
+    out: dict[int, list[tuple[int, int]]] = {}
+    for edge, b in zip(edges, _edge_blocks(adj, len(edges))):
+        out.setdefault(b, []).append(edge)
+    return list(out.values())
+
+
+def _kuratowski_free(deg: Iterable[int]) -> bool:
+    """Whether a graph whose 2-core has these degrees is planar by counting.
+
+    Kuratowski: a non-planar graph contains a subdivision of K5 or K3,3.
+    It is 2-connected, so it lies in the 2-core, and there its 5 branch
+    vertices have degree >= 4, or its 6 branch vertices degree >= 3.
+    """
+    deg = list(deg)
+    return sum(d >= 3 for d in deg) < 6 and sum(d >= 4 for d in deg) < 5
+
+
+def _block_faces(edges: list[tuple[int, int]]) -> list[list[int]] | None:
+    """The faces of a planar embedding of a biconnected simple graph with at
+    least three vertices, each a cyclic vertex sequence; None if the graph
+    is not planar.
+
+    Path addition (Demoucron, Malgrange & Pertuiset, 1964).  The embedded
+    part H starts as one cycle.  A fragment is an edge not in H joining two
+    vertices of H, or a component of the vertices outside H with its edges;
+    its attachments are its vertices in H, and a face of H is admissible for
+    it when it holds them all.  Each step embeds one path of a fragment,
+    between two of its attachments, into one admissible face, which it
+    splits in two; a fragment with a single admissible face goes first.  A
+    fragment with none means the graph is not planar.  Faces are oriented:
+    where u, v, w run along a face, w follows u in the rotation at v.
+    """
+    verts = sorted({x for e in edges for x in e})
+    n = len(verts)
+    if len(edges) > 3 * n - 6:  # Euler
+        return None
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        a, b = index[u], index[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    # every vertex has two neighbours, so a walk that never turns back
+    # closes a cycle
+    at = [-1] * n
+    at[0] = 0
+    walk, prev = [0], -1
+    while True:
+        x = walk[-1]
+        y = nbrs[x][0] if nbrs[x][0] != prev else nbrs[x][1]
+        if at[y] >= 0:
+            break
+        at[y] = len(walk)
+        walk.append(y)
+        prev = x
+    cycle = walk[at[y] :]
+
+    embedded = [False] * n
+    placed: set[int] = set()  # u * n + v, u < v, for each edge of H or of a chord
+    owner = [-1] * n  # fragment of each vertex outside H
+    # a face: its vertex sequence, its vertex set and the fragments it is
+    # admissible for; a fragment: its attachments, its vertices (none for
+    # a chord) and its admissible faces
+    faces: list[tuple[list[int], set[int], set[int]]] = []
+    frags: list[tuple[set[int], list[int], set[int]]] = []
+    split: set[int] = set()
+    alive: list[bool] = []
+    forced: list[int] = []  # fragments that had one admissible face
+    pending: list[int] = []  # every fragment, newest last
+
+    def add(att: set[int], comp: list[int], candidates: tuple[int, ...]) -> bool:
+        fid = len(frags)
+        admissible = set()
+        for f in candidates:
+            if att <= faces[f][1]:
+                admissible.add(f)
+                faces[f][2].add(fid)
+        frags.append((att, comp, admissible))
+        alive.append(True)
+        pending.append(fid)
+        if len(admissible) == 1:
+            forced.append(fid)
+        return bool(admissible)
+
+    def place(
+        path: list[int],
+        new: list[int],
+        region: Iterable[int],
+        old: int,
+        candidates: tuple[int, ...],
+    ) -> bool:
+        """Put the path, with its vertices `new` not yet in H, into H; then
+        add the fragments it leaves: chords at the new vertices, and the
+        components of the vertices of `region` that fragment `old` owned.
+        False if one of them has no admissible face."""
+        for v in new:
+            embedded[v] = True
+        for u, v in zip(path, path[1:]):
+            placed.add(u * n + v if u < v else v * n + u)
+        for p in new:
+            for q in nbrs[p]:
+                if embedded[q]:
+                    key = p * n + q if p < q else q * n + p
+                    if key not in placed:
+                        placed.add(key)
+                        if not add({p, q}, [], candidates):
+                            return False
+        for r in region:
+            if embedded[r] or owner[r] != old:
+                continue
+            owner[r] = fid = len(frags)
+            comp, att = [r], set()
+            for x in comp:  # grows while it is read
+                for y in nbrs[x]:
+                    if embedded[y]:
+                        att.add(y)
+                    elif owner[y] == old:
+                        owner[y] = fid
+                        comp.append(y)
+            if not add(att, comp, candidates):
+                return False
+        return True
+
+    faces.append((cycle, set(cycle), set()))
+    faces.append((cycle[::-1], faces[0][1], set()))
+    if not place(cycle + cycle[:1], cycle, range(n), -1, (0, 1)):
+        return None
+    while True:
+        fr = -1
+        while forced:
+            c = forced.pop()
+            if alive[c] and len(frags[c][2]) == 1:
+                fr = c
+                break
+        if fr < 0:
+            while pending and not alive[pending[-1]]:
+                pending.pop()
+            if not pending:
+                break
+            fr = pending[-1]
+        att, comp, admissible = frags[fr]
+        if comp:
+            # grow a search tree from a vertex next to one attachment a
+            # until it meets another attachment b
+            a = min(att)
+            for x in nbrs[a]:
+                if not embedded[x] and owner[x] == fr:
+                    break
+            parent, stack, b = {x: a}, [x], -1
+            while b < 0:
+                x = stack.pop()
+                for y in nbrs[x]:
+                    if not embedded[y]:
+                        if y not in parent:
+                            parent[y] = x
+                            stack.append(y)
+                    elif y != a:
+                        b = y
+            path = [b]
+            while x != a:
+                path.append(x)
+                x = parent[x]
+            path.append(a)
+            path.reverse()
+        else:
+            path = sorted(att)
+
+        f = min(admissible)
+        seq, _, others = faces[f]
+        i = seq.index(path[0])
+        seq = seq[i:] + seq[:i]
+        j = seq.index(path[-1])
+        inner = path[1:-1]
+        h1 = seq[: j + 1] + inner[::-1]
+        h2 = seq[j:] + seq[:1] + inner
+        halves = (len(faces), len(faces) + 1)
+        faces.append((h1, set(h1), set()))
+        faces.append((h2, set(h2), set()))
+        split.add(f)
+        alive[fr] = False
+        for h in admissible:
+            faces[h][2].discard(fr)
+        for other in others:
+            oatt, _, fs = frags[other]
+            fs.discard(f)
+            for h in halves:
+                if oatt <= faces[h][1]:
+                    fs.add(h)
+                    faces[h][2].add(other)
+            if not fs:
+                return None
+            if len(fs) == 1:
+                forced.append(other)
+        if not place(path, inner, comp, fr, halves):
+            return None
+    return [[verts[v] for v in face[0]] for f, face in enumerate(faces) if f not in split]
 
 
 def is_planar(g: Multigraph) -> bool:
-    # Kuratowski: a non-planar graph contains a subdivision of K5 or K3,3.
-    # It is 2-connected, so it lies in the 2-core, and there its 5 branch
-    # vertices have degree >= 4, or its 6 branch vertices degree >= 3.
+    """Whether g is planar; loops and parallel edges never change that."""
     s = g.underlying_simple()
     nbrs: list[list[int]] = [[] for _ in range(s.n)]
     for u, v in s.edges:
@@ -259,23 +498,21 @@ def is_planar(g: Multigraph) -> bool:
             deg[u] -= 1
             if deg[u] == 1:
                 peel.append(u)
-    if sum(d >= 3 for d in deg) < 6 and sum(d >= 4 for d in deg) < 5:
+    if _kuratowski_free(deg):
         return True
-    ok, _ = nx.check_planarity(_nx_graph(s))
-    return ok
+    # K3,3 has 9 edges and K5 10, so a smaller block is planar
+    core = [(u, v) for u, v in s.edges if deg[u] > 1 and deg[v] > 1]
+    for block in _blocks(s.n, core):
+        if len(block) >= 9 and not _kuratowski_free(Counter(x for e in block for x in e).values()):
+            if _block_faces(block) is None:
+                return False
+    return True
 
 
-def planar_embedding(g: Multigraph) -> RotationSystem:
-    """A planar rotation system for g; raises ValueError if g is non-planar.
-
-    Parallel edges are placed adjacently (nested), loops as adjacent dart
-    pairs; both conventions are always planarity-preserving.
-    """
-    nxg = _nx_graph(g.underlying_simple())
-    ok, emb = nx.check_planarity(nxg)
-    if not ok:
-        raise ValueError("graph is not planar")
-
+def _rotation_system(g: Multigraph, order: list[list[int]]) -> RotationSystem:
+    """The rotation system of g from `order[v]`, the neighbours of v in the
+    underlying simple graph in rotation order, with parallel edges and loops
+    put back."""
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         if u != v:
@@ -283,15 +520,14 @@ def planar_embedding(g: Multigraph) -> RotationSystem:
     rotations = []
     for v in range(g.n):
         rot: list[Dart] = []
-        if nxg.degree(v) > 0:
-            for u in emb.neighbors_cw_order(v):
-                ids = by_pair[(min(u, v), max(u, v))]
-                # nest parallel blocks: ascending on the lower endpoint,
-                # descending on the higher one
-                ordered = ids if v < u else list(reversed(ids))
-                for eid in ordered:
-                    end = 0 if g.edges[eid][0] == v else 1
-                    rot.append((eid, end))
+        for u in order[v]:
+            ids = by_pair[(min(u, v), max(u, v))]
+            # nest parallel blocks: ascending on the lower endpoint,
+            # descending on the higher one
+            ordered = ids if v < u else list(reversed(ids))
+            for eid in ordered:
+                end = 0 if g.edges[eid][0] == v else 1
+                rot.append((eid, end))
         for eid in g.loops[v]:
             rot.append((eid, 0))
             rot.append((eid, 1))
@@ -299,6 +535,45 @@ def planar_embedding(g: Multigraph) -> RotationSystem:
     rs = RotationSystem(tuple(rotations))
     rs.validate(g)
     return rs
+
+
+def planar_embedding(g: Multigraph) -> RotationSystem:
+    """A planar rotation system for g; raises ValueError if g is non-planar.
+
+    Each biconnected block of the underlying simple graph is embedded by
+    `_block_faces`, and the rotation at a vertex is read off the block's
+    oriented faces; at a cut vertex the rotations of its blocks follow one
+    another.  Parallel edges are placed adjacently (nested), loops as
+    adjacent dart pairs; both conventions are always planarity-preserving.
+    The same graph always gets the same rotation system.
+    """
+    s = g.underlying_simple()
+    order: list[list[int]] = [[] for _ in range(s.n)]
+    for block in _blocks(s.n, s.edges):
+        if len(block) == 1:  # a bridge
+            (u, v), = block
+            order[u].append(v)
+            order[v].append(u)
+            continue
+        block_faces = _block_faces(block)
+        if block_faces is None:
+            raise ValueError("graph is not planar")
+        succ: dict[tuple[int, int], int] = {}
+        for face in block_faces:
+            for u, v, w in zip(face[-1:] + face[:-1], face, face[1:] + face[:1]):
+                succ[v, u] = w
+        first: dict[int, int] = {}
+        for u, v in block:
+            first.setdefault(u, v)
+            first.setdefault(v, u)
+        for v, u0 in first.items():
+            u = u0
+            while True:
+                order[v].append(u)
+                u = succ[v, u]
+                if u == u0:
+                    break
+    return _rotation_system(g, order)
 
 
 def faces(g: Multigraph, rot: RotationSystem) -> list[Face]:

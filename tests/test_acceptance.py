@@ -8,7 +8,6 @@ import pytest
 
 import connectivity_oracle
 from jonescheck import graphs, harness, reduction, solvers, structure
-from jonescheck.multigraph import Multigraph
 
 
 @pytest.fixture(scope="session")

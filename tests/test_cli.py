@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jonescheck
 from jonescheck import cli, graphs, harness, io, solvers
 from jonescheck.multigraph import Multigraph
 
@@ -80,6 +85,32 @@ def test_solve_long_cycle(capsys, tmp_path):
     assert code == 0
     assert lines[0]["status"] == "ok" and lines[0]["n"] == 1500
     assert lines[0]["fvs"]["size"] == lines[0]["cp"]["size"] == 1
+
+
+def test_verify_never_imports_networkx(tmp_path):
+    # K4 and the cube take the face-packing route, K3,3 and the Petersen
+    # graph the non-planar one; a fresh interpreter sees every import
+    bipartite33 = Multigraph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+    p = tmp_path / "graphs.s6"
+    gs = (graphs.complete(4), bipartite33, graphs.petersen(), graphs.cube())
+    p.write_bytes(b"".join(io.serialize(g, "s6") + b"\n" for g in gs))
+    script = (
+        "import json, sys\n"
+        "import jonescheck.cli as cli\n"
+        f"code = cli.main(['verify', '--input', {str(p)!r}, '--jobs', '1'])\n"
+        "print(json.dumps({'exit': code, 'networkx': 'networkx' in sys.modules}))\n"
+    )
+    src = str(Path(jonescheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    lines = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert proc.returncode == 0, proc.stderr
+    assert lines[-1] == {"exit": 0, "networkx": False}
+    records = lines[:-2]
+    assert [r["flags"]["planar"] for r in records] == [True, False, False, True]
+    assert [r["values"].get("fp_fixed") for r in records] == [1, None, None, 2]
 
 
 def test_cuts(capsys, corpus_file):

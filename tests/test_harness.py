@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import generator_oracle
-from jonescheck import canonical, graphs, harness, solvers, structure
+from jonescheck import canonical, graphs, harness, structure
 from jonescheck.canonical import canonical_form
 from jonescheck.multigraph import Multigraph
 

@@ -1,10 +1,13 @@
+import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 import connectivity_oracle
 import cut_oracle
+import planarity_oracle
 from jonescheck import graphs, structure
 from jonescheck.multigraph import Multigraph
 
@@ -47,11 +50,8 @@ def test_vertex_connectivity_matches_networkx():
         edges += [(v, v) for v in range(n) if rng.random() < 0.1]
         pool.append(Multigraph(n, tuple(edges)))
     for g in pool:
-        s = g.underlying_simple()
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(s.n))
-        nxg.add_edges_from(s.edges)
-        assert structure.vertex_connectivity(g) == nx.node_connectivity(nxg), g
+        want = nx.node_connectivity(planarity_oracle.nx_graph(g))
+        assert structure.vertex_connectivity(g) == want, g
 
 
 def test_enumerate_cuts_cycle():
@@ -178,13 +178,6 @@ def test_rotation_validate_rejects():
         bad.validate(g)
 
 
-def _nx_planar(g: Multigraph) -> bool:
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from((u, v) for u, v in g.edges if u != v)
-    return nx.check_planarity(nxg)[0]
-
-
 def _bipartite33() -> Multigraph:
     return Multigraph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
 
@@ -216,7 +209,7 @@ def _minus_edge(g: Multigraph) -> Multigraph:
     ids=["K5", "K33", "K33-sub", "K5-sub", "petersen", "K5-e", "K33-e", "K33-e-sub"],
 )
 def test_planarity_boundary(g, planar):
-    assert _nx_planar(g) == planar
+    assert planarity_oracle.is_planar(g) == planar
     assert structure.is_planar(g) == planar
 
 
@@ -239,12 +232,124 @@ def _random_bounded_degree(rng: random.Random) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
+def _relabelled(g: Multigraph, rng: random.Random) -> Multigraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Multigraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _stacked(rng: random.Random, n: int) -> tuple[Multigraph, list[tuple[int, int, int]]]:
+    """A stacked triangulation and its faces: K4, then each new vertex put
+    into a random face and joined to its three corners.  It is maximal
+    planar and 3-connected, with degrees up to n - 1."""
+    tri = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for v in range(4, n):
+        a, b, c = tri.pop(rng.randrange(len(tri)))
+        edges += [(a, v), (b, v), (c, v)]
+        tri += [(a, b, v), (a, c, v), (b, c, v)]
+    return Multigraph(n, tuple(edges)), tri
+
+
+def _dual(tri: list[tuple[int, int, int]]) -> Multigraph:
+    """The dual of a triangulation: a 3-connected cubic planar graph."""
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for f, (a, b, c) in enumerate(tri):
+        for e in ((a, b), (a, c), (b, c)):
+            by_edge.setdefault(tuple(sorted(e)), []).append(f)
+    return Multigraph(len(tri), tuple(tuple(fs) for fs in by_edge.values()))
+
+
+def _random_subdivision(rng: random.Random, g: Multigraph) -> Multigraph:
+    """g with each edge replaced by a path of one to three edges."""
+    n, edges = g.n, []
+    for u, v in g.edges:
+        for _ in range(rng.randint(0, 2)):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    return Multigraph(n, tuple(edges))
+
+
+def _random_composite(rng: random.Random) -> Multigraph:
+    """Up to 30 vertices: pieces kept apart or glued at a cut vertex, among
+    them K5 and K3,3 subdivisions and triangulations with one extra edge;
+    relabelled, and often with loops and parallel edges on top."""
+    n, edges = 0, []
+    while True:
+        r = rng.random()
+        if r < 0.3:
+            piece = _random_bounded_degree(rng)
+        elif r < 0.4:
+            piece = _random_subdivision(rng, rng.choice([graphs.complete(5), _bipartite33()]))
+        elif r < 0.65:
+            piece, _ = _stacked(rng, rng.randint(4, 10))
+            missing = [e for e in itertools.combinations(range(piece.n), 2) if e not in piece.edges]
+            if missing and rng.random() < 0.2:  # a maximal planar graph plus an edge is not planar
+                piece = Multigraph(piece.n, piece.edges + (rng.choice(missing),))
+        elif r < 0.85:
+            piece = graphs.cycle(rng.randint(3, 8))
+        else:
+            piece = graphs.path(rng.randint(1, 5))
+        if n + piece.n > 30:
+            break
+        # glue the piece's vertex 0 onto a vertex already there, or not
+        glue = n and rng.random() < 0.6
+        label = [rng.randrange(n) if glue else n] + [n + i - glue for i in range(1, piece.n)]
+        edges += [(label[u], label[v]) for u, v in piece.edges]
+        n += piece.n - glue
+    if edges and rng.random() < 0.5:
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+        edges += [(v, v) for v in rng.sample(range(n), rng.randint(1, min(n, 3)))]
+    return _relabelled(Multigraph(n, tuple(edges)), rng)
+
+
+def _three_connected(rng: random.Random) -> list[Multigraph]:
+    """3-connected planar graphs up to n = 30, each relabelled twice."""
+    named = [graphs.complete(4), graphs.prism(), graphs.cube(), graphs.dodecahedron()]
+    named += [graphs.wheel(k) for k in (3, 5, 8)] + [_octahedron()]
+    pool = named
+    for _ in range(30):
+        tri, faces = _stacked(rng, rng.randint(5, 17))
+        pool += [tri, _dual(faces)]
+    return [_relabelled(g, rng) for g in pool for _ in range(2)]
+
+
+def _assert_euler(g: Multigraph, fs: list[structure.Face]) -> None:
+    """n - m + f = 2 on every component with an edge."""
+    label = g._component_labels
+    comps = Counter(label)
+    edges = Counter(label[u] for u, _ in g.edges)
+    per_face = Counter(label[g.edges[f.walk[0][0]][0]] for f in fs)
+    for c, m in edges.items():
+        assert comps[c] - m + per_face[c] == 2, (g, c)
+
+
 def test_planarity_matches_networkx_random():
+    # the oracle decides planarity; planar graphs must get an embedding
+    # with the right face count, and 3-connected ones the oracle's faces,
+    # which are unique (Whitney)
     rng = random.Random(5150)
-    nonplanar = 0
-    for _ in range(1500):
-        g = _random_bounded_degree(rng)
-        want = _nx_planar(g)
+    pool = [_random_bounded_degree(rng) for _ in range(1500)]
+    pool += [_random_composite(rng) for _ in range(300)]
+    pool += _three_connected(rng)
+    nonplanar = compared = 0
+    for g in pool:
+        want = planarity_oracle.is_planar(g)
         assert structure.is_planar(g) == want, g
         nonplanar += not want
-    assert nonplanar >= 100
+        if not want:
+            with pytest.raises(ValueError):
+                structure.planar_embedding(g)
+            continue
+        rot = structure.planar_embedding(g)
+        rot.validate(g)
+        assert rot == structure.planar_embedding(g)  # deterministic
+        fs = structure.faces(g, rot)
+        _assert_euler(g, fs)
+        if g.is_simple() and min(g.degrees()) >= 3 and structure.vertex_connectivity(g) >= 3:
+            oracle = structure.faces(g, planarity_oracle.planar_embedding(g))
+            assert sorted(f.vertices for f in fs) == sorted(f.vertices for f in oracle), g
+            compared += 1
+    assert nonplanar >= 200
+    assert compared >= 100
