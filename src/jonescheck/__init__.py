@@ -35,11 +35,9 @@ from .solvers import (
     FacePacking,
     FeedbackSet,
     SolverLimit,
-    cp_bruteforce,
     cp_exact,
     enumerate_cycles,
     fp_fixed_embedding,
-    fvs_bruteforce,
     fvs_exact,
     witness_to_dict,
 )

@@ -29,6 +29,10 @@ that fix the prefix pointwise, and after a tied leaf it backjumps to the
 branching where that leaf left the best order.  Either way the subtree left
 out is the image of one already searched, so the maximum, and with it the
 bytes, do not change.  There is no refinement after a vertex is placed.
+The same argument shows that the automorphisms found generate the whole
+group: the best leaves are one orbit of it, and each best leaf left out is
+the image of a searched one under a product of them.  `canonical_form`
+hands them back on request, for orbit pruning in corpus generation.
 
 The bytes are n, then per position the loop count and the dense row.  A
 value below 255 is one byte; a larger one is the byte 255 followed by the
@@ -110,8 +114,12 @@ def _put(out: bytearray, x: int) -> None:
         out.extend(x.to_bytes(4, "big"))
 
 
-def canonical_form(g: Multigraph) -> bytes:
-    """Canonical byte string; equal iff isomorphic (loops/multiplicities kept)."""
+def canonical_form(
+    g: Multigraph, automorphisms: list[tuple[int, ...]] | None = None
+) -> bytes:
+    """Canonical byte string; equal iff isomorphic (loops/multiplicities kept).
+    Appends to `automorphisms`, if given, generators of the automorphism
+    group, each as the tuple of vertex images."""
     n = g.n
     if n == 0:
         return b"\x00"
@@ -227,6 +235,12 @@ def canonical_form(g: Multigraph) -> bytes:
 
     extend(False)
     assert best is not None
+    if automorphisms is not None:
+        for moved in autos:
+            image = list(range(n))
+            for a, b in moved:
+                image[a] = b
+            automorphisms.append(tuple(image))
     pos = [0] * n
     for p, v in enumerate(best_order):
         pos[v] = p

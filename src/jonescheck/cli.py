@@ -235,22 +235,27 @@ def _add_input_opts(p: argparse.ArgumentParser):
     return sources
 
 
-def _milliseconds(text: str) -> int:
-    try:
-        ms = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if ms < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 means no limit), got {ms}")
-    return ms
+def _int_at_least(low: int, note: str = ""):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}{note}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write report here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     p.add_argument(
         "--time-limit-ms",
-        type=_milliseconds,
+        type=_int_at_least(0, " (0 means no limit)"),
         default=60000,
         help="per-graph solver budget; graphs over budget are marked skipped",
     )

@@ -7,11 +7,20 @@ neighbour degrees) among the vertices whose deletion leaves the child
 connected.  Every class C on n vertices is still reached: deleting a non-cut
 vertex y of largest f leaves a connected subcubic planar graph, isomorphic
 to some P of level n-1, and the child that joins a new vertex to the image
-of y's neighbours passes the test.  Most other children are never
-canonicalized.  Multigraph classes decorate simple planar backbones with
-edge multiplicities and loops under the degree-3 cap.  Dedupe is by
-canonical form, so every graph appears exactly once, and the stream, sorted
-by canonical form, has a deterministic order.
+of y's neighbours passes the test.  Of the k-subsets of P's vertices that
+x may join, only the first of each orbit under Aut(P) is tried (after
+McKay, J. Algorithms 26, 1998; a level stores the generators that
+`canonical_form` finds): the others give isomorphic children, which pass
+both tests exactly when it does.  Children of different parents can still
+be isomorphic, so they are deduped by canonical form; a level keeps the
+first child of each class and streams in canonical-form order.
+
+Multigraph classes decorate each simple planar backbone B with edge
+multiplicities and loops under the degree-3 cap, one decoration per orbit
+of Aut(B), and canonicalize none: two decorations are isomorphic exactly
+when an automorphism of B maps one onto the other.  Within each n the
+backbones come in canonical-form order, each with its decorations in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import canonical_form
 from .multigraph import Multigraph
@@ -47,6 +56,8 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.cls not in CORPUS_CLASSES:
             raise ValueError(f"unknown corpus class {self.cls!r}")
+        if self.max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
         if self.cls == "subcubic-planar-multi":
             if self.max_n > MAX_N_MULTI:
                 raise ValueError(f"max_n > {MAX_N_MULTI} for multigraph classes")
@@ -54,8 +65,28 @@ class CorpusSpec:
             raise ValueError(f"max_n > {MAX_N_SIMPLE} for simple classes")
 
 
-# level cache: n -> {canonical form: graph}, connected subcubic planar simple
-_SIMPLE_LEVELS: dict[int, dict[bytes, Multigraph]] = {}
+# level cache: n -> {canonical form: (graph, generators of its automorphism
+# group)}, connected subcubic planar simple
+_SIMPLE_LEVELS: dict[int, dict[bytes, tuple[Multigraph, list[tuple[int, ...]]]]] = {}
+
+
+def _first_of_orbits(
+    items: Iterable[tuple], images: Callable[[tuple], list[tuple]]
+) -> Iterator[tuple]:
+    """The items that come first in their orbit.  `images(x)` lists the
+    images of x under generators of a group that permutes the items."""
+    done: set[tuple] = set()
+    for x in items:
+        if x in done:
+            continue
+        yield x
+        done.add(x)
+        stack = [x]
+        while stack:
+            for y in images(stack.pop()):
+                if y not in done:
+                    done.add(y)
+                    stack.append(y)
 
 
 def _is_canonical_deletion(adj: list[list[int]], s: tuple[int, ...]) -> bool:
@@ -83,99 +114,100 @@ def _is_canonical_deletion(adj: list[list[int]], s: tuple[int, ...]) -> bool:
     return True
 
 
-def _simple_level(n: int) -> dict[bytes, Multigraph]:
+def _simple_level(n: int) -> dict[bytes, tuple[Multigraph, list[tuple[int, ...]]]]:
     if n in _SIMPLE_LEVELS:
         return _SIMPLE_LEVELS[n]
     if n == 1:
-        level = {canonical_form(Multigraph(1)): Multigraph(1)}
+        level = {canonical_form(Multigraph(1)): (Multigraph(1), [])}
         _SIMPLE_LEVELS[1] = level
         return level
     prev = _simple_level(n - 1)
     seen: set[bytes] = set()
-    level: dict[bytes, Multigraph] = {}
-    for g in prev.values():
+    level = {}
+    for g, gens in prev.values():
         adj: list[list[int]] = [[] for _ in range(g.n)]
         for u, v in g.edges:
             adj[u].append(v)
             adj[v].append(u)
         eligible = [v for v, a in enumerate(adj) if len(a) < 3]
         for k in (1, 2, 3):
-            for s in itertools.combinations(eligible, k):
+            subsets = itertools.combinations(eligible, k)
+            if gens:
+                # an automorphism of g maps s to a subset s' with g + s'
+                # isomorphic to g + s, so both pass the tests below or neither
+                subsets = _first_of_orbits(
+                    subsets, lambda s: [tuple(sorted(p[v] for v in s)) for p in gens]
+                )
+            for s in subsets:
                 if not _is_canonical_deletion(adj, s):
                     continue
                 new = Multigraph(n, g.edges + tuple((v, n - 1) for v in s))
-                cf = canonical_form(new)
+                autos: list[tuple[int, ...]] = []
+                cf = canonical_form(new, autos)
                 if cf in seen:
                     continue
                 seen.add(cf)
                 # extensions of non-planar graphs stay non-planar, so only
                 # planar graphs enter the level
                 if structure.is_planar(new):
-                    level[cf] = new
+                    level[cf] = (new, autos)
     _SIMPLE_LEVELS[n] = level
     return level
 
 
-def _multi_decorations(backbone: Multigraph) -> Iterator[Multigraph]:
-    """All subcubic multigraphs whose underlying simple graph is `backbone`.
+def _multi_decorations(
+    backbone: Multigraph, gens: Sequence[tuple[int, ...]] = ()
+) -> Iterator[Multigraph]:
+    """Subcubic multigraphs whose underlying simple graph is `backbone`, all
+    of them or the first of each orbit of the group `gens` generate.  A
+    decoration is the extra copies of each edge and the set of looped
+    vertices; neither affects planarity or connectivity."""
+    deg = backbone.degrees()
+    edges = backbone.edges
 
-    Loops and extra parallel copies never affect planarity or connectivity.
-    """
-    slack = [3 - d for d in backbone.degrees()]
-    m = backbone.m
+    def decorations() -> Iterator[tuple[frozenset, frozenset]]:
+        caps = [min(2, 3 - deg[u], 3 - deg[v]) for u, v in edges]
+        for extra in itertools.product(*(range(c + 1) for c in caps)):
+            used = list(deg)
+            for (u, v), x in zip(edges, extra):
+                used[u] += x
+                used[v] += x
+            if max(used, default=0) <= 3:
+                added = frozenset((e, x) for e, x in zip(edges, extra) if x)
+                loop_cands = [v for v, d in enumerate(used) if d <= 1]
+                for r in range(len(loop_cands) + 1):
+                    for ls in itertools.combinations(loop_cands, r):
+                        yield added, frozenset(ls)
 
-    def assign(i: int, extra: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            yield tuple(extra)
-            return
-        u, v = backbone.edges[i]
-        max_extra = min(2, slack[u], slack[v])
-        for x in range(max_extra + 1):
-            slack[u] -= x
-            slack[v] -= x
-            extra.append(x)
-            yield from assign(i + 1, extra)
-            extra.pop()
-            slack[u] += x
-            slack[v] += x
-
-    for extra in assign(0, []):
-        used = [0] * backbone.n
-        for i, x in enumerate(extra):
-            u, v = backbone.edges[i]
-            used[u] += x
-            used[v] += x
-        loop_cands = [
-            v for v in range(backbone.n) if 3 - backbone.degree(v) - used[v] >= 2
+    def images(d: tuple) -> list[tuple]:
+        added, ls = d
+        return [
+            (
+                frozenset(((min(p[u], p[v]), max(p[u], p[v])), x) for (u, v), x in added),
+                frozenset(p[v] for v in ls),
+            )
+            for p in gens
         ]
-        for r in range(len(loop_cands) + 1):
-            for ls in itertools.combinations(loop_cands, r):
-                edges = []
-                for i, (u, v) in enumerate(backbone.edges):
-                    edges.extend([(u, v)] * (1 + extra[i]))
-                edges.extend((v, v) for v in ls)
-                yield Multigraph(backbone.n, tuple(edges))
+
+    for added, ls in _first_of_orbits(decorations(), images) if gens else decorations():
+        extra = dict(added)
+        multi = [e for e in edges for _ in range(1 + extra.get(e, 0))]
+        yield Multigraph(backbone.n, tuple(multi) + tuple((v, v) for v in sorted(ls)))
 
 
 def generate_corpus(spec: CorpusSpec) -> Iterator[Multigraph]:
-    """Stream of pairwise non-isomorphic connected graphs, deterministic order."""
+    """Stream of pairwise non-isomorphic connected graphs, deterministic order.
+
+    Within each n, simple graphs come in canonical-form order; multigraphs
+    come backbone by backbone, in the backbones' canonical-form order, and
+    each backbone's decorations in enumeration order."""
     for n in range(1, spec.max_n + 1):
         level = _simple_level(n)
-        if spec.cls == "cubic-planar-simple":
-            out = [(cf, g) for cf, g in level.items() if g.is_cubic()]
-            for _, g in sorted(out):
-                yield g
-        elif spec.cls == "subcubic-planar-simple":
-            for _, g in sorted(level.items()):
-                yield g
-        else:
-            decorated: dict[bytes, Multigraph] = {}
-            for _, backbone in sorted(level.items()):
-                for g in _multi_decorations(backbone):
-                    cf = canonical_form(g)
-                    if cf not in decorated:
-                        decorated[cf] = g
-            for _, g in sorted(decorated.items()):
+        for cf in sorted(level):
+            g, gens = level[cf]
+            if spec.cls == "subcubic-planar-multi":
+                yield from _multi_decorations(g, gens)
+            elif spec.cls == "subcubic-planar-simple" or g.is_cubic():
                 yield g
 
 

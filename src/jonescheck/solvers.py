@@ -1,13 +1,11 @@
 """Exact feedback vertex set, cycle packing and face packing solvers.
 
 Every solver returns a witness object and re-verifies it against the carrier
-graph before returning.  Brute-force oracles (subset enumeration) are kept
-fully independent of the branch-and-bound paths they are used to check.
+graph before returning.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -17,7 +15,7 @@ from .structure import Face, RotationSystem, _edge_blocks, faces as face_walks
 
 
 class SolverLimit(Exception):
-    """A solver hit its time limit or a brute-force oracle its size guard."""
+    """A solver hit its time limit."""
 
 
 class Cycle(NamedTuple):
@@ -510,19 +508,6 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
     return fs
 
 
-def fvs_bruteforce(g: Multigraph) -> FeedbackSet:
-    """Exhaustive subset enumeration in increasing size; oracle, n <= 16."""
-    if g.n > 16:
-        raise SolverLimit("brute-force FVS guard: n > 16")
-    for k in range(g.n + 1):
-        for subset in itertools.combinations(range(g.n), k):
-            if delete_vertices(g, subset).graph.is_forest():
-                fs = FeedbackSet(subset, k, optimal=True)
-                fs.verify(g)
-                return fs
-    raise AssertionError("unreachable: deleting all vertices leaves a forest")
-
-
 # -- cycle packing ---------------------------------------------------------
 
 
@@ -587,37 +572,6 @@ def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     picked = _mis_over_masks(masks, lens, g.n, deadline)
     chosen = tuple(sorted(cycles[i].edges for i in picked))
     cp = CyclePacking(chosen, len(chosen), optimal=True)
-    cp.verify(g)
-    return cp
-
-
-def cp_bruteforce(g: Multigraph, max_cycles: int = 20) -> CyclePacking:
-    """Exhaustive search over all subsets of cycles; oracle."""
-    cycles = enumerate_cycles(g)
-    if len(cycles) > max_cycles:
-        raise SolverLimit(f"brute-force CP guard: {len(cycles)} cycles > {max_cycles}")
-    best: tuple[int, ...] = ()
-    vsets = [set(c.vertices) for c in cycles]
-    # disjoint cycles are independent in the cycle space, so the cyclomatic
-    # number caps the packing size; sizes above it need not be enumerated
-    rmax = min(len(cycles), g.m - g.n + g.component_count())
-    for r in range(rmax, 0, -1):
-        for subset in itertools.combinations(range(len(cycles)), r):
-            used: set[int] = set()
-            ok = True
-            for i in subset:
-                if used & vsets[i]:
-                    ok = False
-                    break
-                used |= vsets[i]
-            if ok:
-                best = subset
-                break
-        if best:
-            break
-    cp = CyclePacking(
-        tuple(sorted(cycles[i].edges for i in best)), len(best), optimal=True
-    )
     cp.verify(g)
     return cp
 

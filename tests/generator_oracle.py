@@ -1,17 +1,21 @@
-"""Reference generator for connected simple subcubic planar graphs, used to
-cross-check the pruned level loop in `jonescheck.harness`.
+"""Reference generators for the corpus classes, used to cross-check the
+pruned loops in `jonescheck.harness`.
 
-This is the earlier unpruned loop: every child P + x of every graph P of
-level n-1, with x joined to 1-3 vertices of degree < 3, is canonicalized,
-and the first child of each new class is kept if it is planar.  Levels are
-built afresh on each call, so nothing is shared with the harness's cache.
+`simple_levels` is the earlier unpruned level loop: every child P + x of
+every graph P of level n-1, with x joined to 1-3 vertices of degree < 3, is
+canonicalized, and the first child of each new class is kept if it is
+planar.  Levels are built afresh on each call, so nothing is shared with
+the harness's cache.
+
+`multi_level` is the earlier multigraph route: every decoration of every
+backbone is canonicalized and deduped by canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from jonescheck import structure
+from jonescheck import harness, structure
 from jonescheck.canonical import canonical_form
 from jonescheck.multigraph import Multigraph
 
@@ -39,3 +43,13 @@ def simple_levels(max_n: int) -> tuple[list[dict[bytes, Multigraph]], int]:
                         level[cf] = new
         levels.append(level)
     return levels, children
+
+
+def multi_level(backbones: dict[bytes, Multigraph]) -> dict[bytes, Multigraph]:
+    """Every decoration of the backbones (a level of `simple_levels`), as a
+    dict from canonical form to the first decoration of that class."""
+    decorated: dict[bytes, Multigraph] = {}
+    for _, backbone in sorted(backbones.items()):
+        for g in harness._multi_decorations(backbone):
+            decorated.setdefault(canonical_form(g), g)
+    return decorated

@@ -6,6 +6,9 @@ from collections import Counter
 import pytest
 
 import canonical_oracle
+import generator_oracle
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 from jonescheck import graphs, structure
 from jonescheck.canonical import are_isomorphic, canonical_form
 from jonescheck.multigraph import Multigraph
@@ -76,16 +79,59 @@ def test_are_isomorphic_named():
 
 
 def test_counts_regular_classes():
-    # connected simple subcubic graphs up to iso: known small counts act as an
-    # oracle for the canonical form (no false merges or splits)
+    # connected subcubic planar graphs up to iso, simple and multi: the
+    # counts pin the canonical form (no false merges or splits) and the
+    # generator's pruning (no class lost or repeated)
     from jonescheck import harness
 
-    counts = {}
-    for g in harness.generate_corpus(
-        harness.CorpusSpec("subcubic-planar-simple", 7)
-    ):
-        counts[g.n] = counts.get(g.n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 28, 7: 63}
+    def counts(cls, max_n):
+        per_n = Counter(g.n for g in harness.generate_corpus(harness.CorpusSpec(cls, max_n)))
+        return [per_n[n] for n in range(1, max_n + 1)]
+
+    assert counts("subcubic-planar-simple", 10) == [1, 1, 2, 6, 10, 28, 63, 188, 514, 1650]
+    assert counts("subcubic-planar-multi", 8) == [2, 5, 7, 22, 43, 140, 372, 1262]
+
+
+def _group_order(n: int, gens: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group that `gens` generate, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
+def test_automorphisms_generate_the_group():
+    # every simple level graph with n <= 8, and relabelled multigraphs with
+    # loops and parallel edges; networkx's matcher counts the automorphisms
+    from jonescheck import harness
+
+    rng = random.Random(1998)
+    levels, _ = generator_oracle.simple_levels(8)
+    pool = [g for level in levels for g in level.values()]
+    for g in harness.generate_corpus(harness.CorpusSpec("subcubic-planar-multi", 6)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pool.append(_permuted(g, perm))
+    pool += [_cycles(3, 3, 3), _cycles(*[2] * 4), _permuted(graphs.cube(), [3, 7, 1, 0, 6, 2, 5, 4])]
+    for g in pool:
+        autos: list[tuple[int, ...]] = []
+        form = canonical_form(g, autos)
+        assert form == canonical_form(g)
+        edges = Counter(g.edges)
+        for p in autos:
+            assert Counter(tuple(sorted((p[u], p[v]))) for u, v in g.edges) == edges
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
+        want = sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter())
+        assert _group_order(g.n, autos) == want, g
 
 
 def test_empty_and_singleton():

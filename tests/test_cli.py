@@ -314,6 +314,30 @@ def test_corpus_out_of_range_is_usage_error(capsys, argv):
     assert f"jonescheck {argv[0]}: error: max_n >" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--class", "subcubic-planar-simple", "--max-n", "0"],
+        ["generate", "--class", "cubic-planar-simple", "--max-n", "-1"],
+    ],
+)
+def test_corpus_max_n_below_one_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"jonescheck {argv[0]}: error: max_n must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(capsys, corpus_file, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--input", corpus_file, "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --jobs: must be >= 1, got {jobs}" in captured.err
+
+
 def test_negative_time_limit_is_usage_error(capsys, corpus_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--input", corpus_file, "--time-limit-ms", "-5"])

@@ -38,10 +38,10 @@ def test_generator_matches_unpruned(monkeypatch):
     want = [cf for level in levels for cf in sorted(level)]
     calls = 0
 
-    def counting(g):
+    def counting(g, *args):
         nonlocal calls
         calls += 1
-        return canonical.canonical_form(g)
+        return canonical.canonical_form(g, *args)
 
     # a fresh level cache, so the module's shared cache is neither used nor filled
     monkeypatch.setattr(harness, "_SIMPLE_LEVELS", {})
@@ -50,6 +50,25 @@ def test_generator_matches_unpruned(monkeypatch):
     got = [canonical.canonical_form(g) for g in harness.generate_corpus(spec)]
     assert got == want
     assert calls - 1 < unpruned / 2  # level 1 costs one call
+
+
+def test_multi_class_matches_decorate_then_dedupe(monkeypatch):
+    """One decoration per Aut(backbone)-orbit gives exactly the classes that
+    canonicalizing every decoration finds, each once, with no decoration
+    canonicalized."""
+    levels, _ = generator_oracle.simple_levels(7)
+    want = set().union(*map(generator_oracle.multi_level, levels))
+
+    def no_call(*args):
+        raise AssertionError("canonical_form called on a decoration")
+
+    monkeypatch.setattr(harness, "_SIMPLE_LEVELS", {})
+    harness._simple_level(7)  # the backbones are canonicalized here
+    monkeypatch.setattr(harness, "canonical_form", no_call)
+    spec = harness.CorpusSpec("subcubic-planar-multi", 7)
+    got = [canonical_form(g) for g in harness.generate_corpus(spec)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_cubic_class():
@@ -93,6 +112,8 @@ def test_corpus_guards():
         list(harness.generate_corpus(harness.CorpusSpec("subcubic-planar-multi", 11)))
     with pytest.raises(ValueError):
         list(harness.generate_corpus(harness.CorpusSpec("nope", 3)))
+    with pytest.raises(ValueError):
+        harness.CorpusSpec("subcubic-planar-simple", 0)
 
 
 def test_run_checks_prism():

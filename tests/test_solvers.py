@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import bruteforce_oracle
 import cp_oracle
 from jonescheck import graphs, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
@@ -83,7 +84,7 @@ def test_minimal_cycles_match_oracle_multi_corpus(multi_corpus_8):
 
 def test_fvs_examples():
     assert solvers.fvs_exact(graphs.complete(4)).size == 2
-    assert solvers.fvs_bruteforce(graphs.complete(4)).size == 2
+    assert bruteforce_oracle.fvs_bruteforce(graphs.complete(4)).size == 2
     assert solvers.fvs_exact(graphs.cycle(6)).size == 1
     assert solvers.fvs_exact(graphs.path(5)).size == 0
     for n in range(3, 11):
@@ -102,7 +103,7 @@ def test_fvs_multigraph_features():
 def test_cp_examples():
     assert solvers.cp_exact(graphs.complete(4)).size == 1
     assert solvers.cp_exact(graphs.prism()).size == 2
-    assert solvers.cp_bruteforce(graphs.prism()).size == 2
+    assert bruteforce_oracle.cp_bruteforce(graphs.prism()).size == 2
     for n in range(3, 11):
         assert solvers.cp_exact(graphs.wheel(n)).size == 1
     # each case below exercises one drop rule of the vertex-minimal filter;
@@ -119,7 +120,7 @@ def test_cp_examples():
         6, ((a, x), (x, b), (a, y), (y, b), (a, u), (u, w), (u, w), (w, b))
     )
     assert solvers.cp_exact(theta_doubled).size == 2
-    assert solvers.cp_bruteforce(theta_doubled).size == 2
+    assert bruteforce_oracle.cp_bruteforce(theta_doubled).size == 2
 
 
 def test_witness_verification():
@@ -181,12 +182,12 @@ def test_oracle_equivalence_random():
         graphs_.append(Multigraph(n, edges))
     graphs_ += [_random_multigraph(rng) for _ in range(400)]
     for g in graphs_:
-        fvs = solvers.fvs_bruteforce(g).size
+        fvs = bruteforce_oracle.fvs_bruteforce(g).size
         assert solvers.fvs_exact(g).size == fvs
         # the degree bound alone, on the whole graph, never exceeds fvs
         assert solvers._degree_lower_bound(solvers._Work(g), frozenset()) <= fvs
         if len(solvers.enumerate_cycles(g)) <= 20:
-            assert solvers.cp_exact(g).size == solvers.cp_bruteforce(g).size
+            assert solvers.cp_exact(g).size == bruteforce_oracle.cp_bruteforce(g).size
         else:
             assert solvers.cp_exact(g).size == cp_oracle._cp_branch(g, None).size
 
