@@ -345,7 +345,11 @@ class PipelineResult:
 
 
 def _strip_low_degree(g: Multigraph) -> tuple[Multigraph, bool]:
-    """Exhaustive degree-<=1 deletion and degree-2 suppression."""
+    """Exhaustive degree-<=1 deletion and degree-2 suppression.
+
+    Suppressing v changes no other degree (u trades vu for uw; if u = w it
+    trades two edge ends for a loop), so no degree-<=1 vertex reappears.
+    """
     cur, _, _ = reduction.delete_degree_le1(g)
     changed = cur.n != g.n
     while True:
@@ -361,9 +365,6 @@ def _strip_low_degree(g: Multigraph) -> tuple[Multigraph, bool]:
             break
         cur = reduction.suppress_degree2(cur, v).graph
         changed = True
-        nxt, _, _ = reduction.delete_degree_le1(cur)
-        changed = changed or nxt.n != cur.n
-        cur = nxt
     return cur, changed
 
 

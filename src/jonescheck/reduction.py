@@ -103,7 +103,8 @@ def _entry(name: str, left: int, rel: str, right: int) -> CertEntry:
 
 
 def _induced_part(g: Multigraph, verts: tuple[int, ...]) -> Part:
-    gone = [v for v in range(g.n) if v not in set(verts)]
+    keep = set(verts)
+    gone = [v for v in range(g.n) if v not in keep]
     res = delete_vertices(g, gone)
     return Part(res.graph, res.vertex_map, res.edge_map)
 

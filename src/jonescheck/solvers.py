@@ -123,19 +123,26 @@ class FacePacking:
 
 
 def enumerate_cycles(
-    g: Multigraph, deadline: float | None = None, minimal: bool = False
+    g: Multigraph,
+    deadline: float | None = None,
+    minimal: bool = False,
+    max_len: int | None = None,
 ) -> list[Cycle]:
     """Simple cycles, each exactly once, deterministic order.
 
     Loops are cycles of length 1 and parallel pairs cycles of length 2.
     A cycle is reported from its minimal vertex; the traversal direction is
     fixed by requiring first edge id < last edge id.  With `minimal=True`
-    only the vertex-minimal cycles are listed (`_minimal_cycles`).  The
-    `deadline` (a `time.monotonic()` value) is checked every 1,024 steps of
-    the search, so a search that finds few cycles stops in time as well.
+    only the vertex-minimal cycles are listed (`_minimal_cycles`), and
+    `max_len` then keeps only those with at most `max_len` vertices: the
+    search never grows a path past that length.  The `deadline` (a
+    `time.monotonic()` value) is checked every 1,024 steps of the search, so
+    a search that finds few cycles stops in time as well.
     """
     if minimal:
-        return _minimal_cycles(g, deadline)
+        return _minimal_cycles(g, deadline, g.n if max_len is None else max_len)
+    if max_len is not None:
+        raise ValueError("max_len needs minimal=True")
     out: list[Cycle] = []
     for v in range(g.n):
         for eid in g.loops[v]:
@@ -175,8 +182,9 @@ def enumerate_cycles(
     return out
 
 
-def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:
-    """The cycles with no other cycle on a subset of their vertices.
+def _minimal_cycles(g: Multigraph, deadline: float | None, max_len: int) -> list[Cycle]:
+    """The cycles with no other cycle on a subset of their vertices, and
+    at most `max_len` of them.
 
     One cycle per vertex set, as `enumerate_cycles` reports it:
     - the first loop at each vertex;
@@ -215,6 +223,8 @@ def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:
             out.append(Cycle((ids[0], ids[1]), (u, v)))
         else:
             single[u][v] = single[v][u] = ids[0]
+    if max_len < 3:
+        return [c for c in out if len(c.vertices) <= max_len]
     block = _edge_blocks(single, g.m)
     # a vertex left with fewer than two walked edges to vertices still alive
     # lies on no long cycle among them; dropping each root after its search
@@ -240,6 +250,7 @@ def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:
     near = [0] * n  # number of path vertices adjacent to each vertex
     path: list[int] = []
     path_edges: list[int] = []
+    full = max_len - 1  # a path this long can only close
     steps = 0
 
     def push(x: int) -> None:
@@ -274,7 +285,8 @@ def _minimal_cycles(g: Multigraph, deadline: float | None) -> list[Cycle]:
                 for y, eid in frames[-1]:
                     if not alive[y] or on_path[y] or block[eid] != b:
                         continue
-                    if near[y] == 1:  # only the last path vertex is adjacent
+                    # only the last path vertex is adjacent: extend
+                    if near[y] == 1 and len(path) < full:
                         push(y)
                         path_edges.append(eid)
                         frames.append(iter(single[y].items()))
@@ -555,18 +567,57 @@ def _mis_over_masks(
     return best
 
 
+_SHORT_CYCLES = 6  # cap of the first enumeration pass of cp_exact
+
+
+def _minimal_by_length(g: Multigraph, deadline: float | None, max_len: int) -> list[Cycle]:
+    cycles = enumerate_cycles(g, deadline=deadline, minimal=True, max_len=max_len)
+    return sorted(cycles, key=lambda c: (len(c.vertices), c.edges))
+
+
+def _packing_cap(n: int, cycles: list[Cycle]) -> int:
+    """max(n - p0*g, l) for the greedy packing of `cycles`: p0 cycles, the
+    longest of l vertices, and the shortest listed cycle of g vertices."""
+    used = p0 = longest = 0
+    for c in cycles:
+        mk = sum(1 << v for v in c.vertices)
+        if not mk & used:
+            used |= mk
+            p0 += 1
+            longest = len(c.vertices)
+    return max(n - p0 * len(cycles[0].vertices), longest) if cycles else n
+
+
 def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     """Maximum cycle packing via independent set over vertex-minimal cycles.
 
-    Enumerates the vertex-minimal cycles (`enumerate_cycles(minimal=True)`)
-    and packs them with `_mis_over_masks`.  The time limit bounds both the
-    enumeration and the search.
+    Packs the vertex-minimal cycles (`enumerate_cycles(minimal=True)`),
+    sorted by (length, edges), with `_mis_over_masks`, but lists only a
+    prefix of them on graphs of more than 2 * `_SHORT_CYCLES` vertices.  A
+    first pass lists the cycles of at most `_SHORT_CYCLES` vertices; their
+    greedy packing has p0 cycles, the longest of l vertices, and the
+    shortest cycle has g vertices.  Every cycle of a packing of more than p0
+    cycles is disjoint from p0 others of at least g vertices each, so it has
+    at most n - p0*g vertices; so does every cycle the greedy packing of the
+    whole list adds to the first p0.  Hence the cycles of at most
+    L = max(n - p0*g, l) vertices, a prefix of the sorted list, hold the
+    whole list's greedy packing and every packing that beats it.  The search
+    over a prefix meets those packings in the same order as over the whole
+    list and prunes none of them, so the witness is the one the whole list
+    gives.  A second pass lists that prefix when L exceeds the first cap.
+    Smaller graphs are listed whole in one pass, which costs about as much.
+    The time limit bounds both passes and the search.
     """
     deadline = _deadline(time_limit_s)
-    cycles = sorted(
-        enumerate_cycles(g, deadline=deadline, minimal=True),
-        key=lambda c: (len(c.vertices), c.edges),
-    )
+    if g.n <= 2 * _SHORT_CYCLES:
+        cycles = _minimal_by_length(g, deadline, g.n)
+    else:
+        cycles = _minimal_by_length(g, deadline, _SHORT_CYCLES)
+        cap = _packing_cap(g.n, cycles)
+        if cap > _SHORT_CYCLES:
+            cycles = _minimal_by_length(g, deadline, cap)
+        else:
+            cycles = [c for c in cycles if len(c.vertices) <= cap]
     masks = [sum(1 << v for v in c.vertices) for c in cycles]
     lens = [len(c.vertices) for c in cycles]
     picked = _mis_over_masks(masks, lens, g.n, deadline)

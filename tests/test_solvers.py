@@ -82,6 +82,18 @@ def test_minimal_cycles_match_oracle_multi_corpus(multi_corpus_8):
         _assert_minimal_matches_oracle(g)
 
 
+def test_enumerate_cycles_max_len(multi_corpus_8):
+    # the capped search lists exactly the short end of the full minimal list
+    gps = [graphs.generalized_petersen(n, k) for n, k in ((10, 2), (12, 2), (14, 2), (13, 1))]
+    for g in multi_corpus_8 + gps:
+        full = solvers.enumerate_cycles(g, minimal=True)
+        for cap in range(g.n + 2):
+            capped = solvers.enumerate_cycles(g, minimal=True, max_len=cap)
+            assert capped == [c for c in full if len(c.vertices) <= cap]
+    with pytest.raises(ValueError):
+        solvers.enumerate_cycles(graphs.prism(), max_len=4)
+
+
 def test_fvs_examples():
     assert solvers.fvs_exact(graphs.complete(4)).size == 2
     assert bruteforce_oracle.fvs_bruteforce(graphs.complete(4)).size == 2
@@ -192,6 +204,88 @@ def test_oracle_equivalence_random():
             assert solvers.cp_exact(g).size == cp_oracle._cp_branch(g, None).size
 
 
+def _random_cubic_planar(n: int, rng: random.Random) -> Multigraph:
+    """Cubic planar graph on an even n >= 4: from K4, each step subdivides
+    two edges on the boundary of a random face and joins the two new
+    vertices across it.  Faces are kept as vertex lists in one orientation."""
+    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for x in range(4, n, 2):
+        f = rng.choice(faces)
+        i, j = rng.sample(range(len(f)), 2)
+        for (a, b), mid in (((f[i - 1], f[i]), x), ((f[j - 1], f[j]), x + 1)):
+            edges.remove((min(a, b), max(a, b)))
+            edges += [(min(a, mid), mid), (min(b, mid), mid)]
+            for h in faces:  # both faces on the edge, f among them
+                for t in range(len(h)):
+                    if {h[t - 1], h[t]} == {a, b}:
+                        h.insert(t, mid)
+                        break
+        edges.append((x, x + 1))
+        p = f.index(x)
+        r = f[p:] + f[:p]
+        q = r.index(x + 1)
+        faces.remove(f)
+        faces += [r[: q + 1], r[q:] + r[:1]]
+    return Multigraph(n, tuple(edges))
+
+
+def _cp_uncapped(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """The witness of the whole minimal-cycle list packed by _mis_over_masks."""
+    cycles = sorted(
+        solvers.enumerate_cycles(g, minimal=True), key=lambda c: (len(c.vertices), c.edges)
+    )
+    masks = [sum(1 << v for v in c.vertices) for c in cycles]
+    picked = solvers._mis_over_masks(masks, [len(c.vertices) for c in cycles], g.n, None)
+    return tuple(sorted(cycles[i].edges for i in picked))
+
+
+def _capped_route_inputs() -> list[Multigraph]:
+    """Random multigraphs with loops and parallel edges, n up to 18, and
+    random cubic planar graphs, n up to 30."""
+    rng = random.Random(1912)
+    out = [_random_multigraph(rng) for _ in range(300)]
+    for _ in range(150):
+        n = rng.randrange(13, 19)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(n + rng.randrange(2, 8))]
+        edges += [rng.choice(edges)] * rng.randrange(0, 3)
+        out.append(Multigraph(n, tuple(edges)))
+    for n in range(4, 32, 2):
+        out += [_random_cubic_planar(n, rng) for _ in range(4)]
+    return out
+
+
+def test_cp_capped_matches_uncapped(monkeypatch):
+    # with a first pass of 3 the two-pass route also runs on graphs of 7 to
+    # 12 vertices, with loops and parallel edges
+    for g in _capped_route_inputs():
+        if g.n == 30:
+            assert structure.is_planar(g) and {g.degree(v) for v in range(g.n)} == {3}
+        whole = _cp_uncapped(g)
+        for short in (6, 3):
+            monkeypatch.setattr(solvers, "_SHORT_CYCLES", short)
+            assert solvers.cp_exact(g).cycles == whole
+        if len(solvers.enumerate_cycles(g)) <= 12:
+            assert len(whole) == bruteforce_oracle.cp_bruteforce(g).size
+        elif g.n <= 22:
+            assert len(whole) == cp_oracle._cp_branch(g, None).size
+
+
+def test_cp_cap_one_too_small_is_caught(monkeypatch):
+    # the inputs above are sharp enough that a cap one below the bound
+    # changes some witness
+    cap = solvers._packing_cap
+    monkeypatch.setattr(solvers, "_packing_cap", lambda n, cycles: cap(n, cycles) - 1)
+    assert any(solvers.cp_exact(g).cycles != _cp_uncapped(g) for g in _capped_route_inputs())
+
+
+def test_cp_former_walls():
+    # every vertex-minimal cycle of these was listed before the cap: GP(20,2)
+    # took 8 s and GP(30,1) ran past 60 s at 1.6 GB
+    assert solvers.cp_exact(graphs.generalized_petersen(20, 2), time_limit_s=10).size == 6
+    assert solvers.cp_exact(graphs.generalized_petersen(30, 1), time_limit_s=10).size == 15
+
+
 def test_long_cycle_no_recursion_error():
     g = graphs.cycle(1500)
     assert solvers.fvs_exact(g).size == 1
@@ -265,13 +359,13 @@ def test_time_limit_raises():
 
 
 def test_cp_time_limit_bounds_enumeration():
-    # GP(18,2) lists its vertex-minimal cycles in a few hundredths of a
-    # second, so the 0.2 s limit fires in the packing search; the per-step
-    # deadline of the enumeration is pinned by
-    # test_enumerate_cycles_deadline_per_step
+    # GP(50,2) needs its minimal cycles of up to 20 vertices, about a second
+    # to list, and its packing search runs past 20 s, so the 0.2 s limit
+    # fires in the second enumeration pass; the per-step deadline of the
+    # enumeration is pinned by test_enumerate_cycles_deadline_per_step
     t0 = time.monotonic()
     with pytest.raises(solvers.SolverLimit):
-        solvers.cp_exact(graphs.generalized_petersen(18, 2), time_limit_s=0.2)
+        solvers.cp_exact(graphs.generalized_petersen(50, 2), time_limit_s=0.2)
     assert time.monotonic() - t0 < 3.0
 
 
