@@ -21,8 +21,6 @@ import traceback
 from . import harness, io, solvers, structure
 from .multigraph import Multigraph
 
-FORMAT_ALIASES = {"g6": "graph6", "s6": "sparse6", "edges": "edge-list"}
-
 
 class _InputError(Exception):
     """The input could not be read or parsed, or the corpus asked for is out
@@ -31,17 +29,19 @@ class _InputError(Exception):
 
 def _read_graphs(args) -> list[Multigraph]:
     if args.stdin:
-        data = sys.stdin.read()
+        try:
+            data = sys.stdin.read()
+        except UnicodeDecodeError as exc:  # not text in a strict stdin encoding
+            raise _InputError(f"stdin: {exc}") from exc
     else:
         try:
             with open(args.input, "rb") as f:
                 data = f.read()
         except OSError as exc:
             raise _InputError(exc) from exc
-    fmt = FORMAT_ALIASES[args.format]
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogateescape")
-    if fmt == "edge-list":  # the whole input is one graph
+    if args.format == "edges":  # the whole input is one graph
         chunks = [("input", data)]
     else:
         lines = enumerate(data.splitlines(), 1)
@@ -49,7 +49,7 @@ def _read_graphs(args) -> list[Multigraph]:
     graphs = []
     for where, chunk in chunks:
         try:
-            graphs.append(io.parse(chunk, fmt))
+            graphs.append(io.parse(chunk, args.format))
         except ValueError as exc:  # FormatError, or bytes that are not text
             raise _InputError(f"{where}: {exc}") from exc
     return graphs
@@ -229,9 +229,7 @@ def _add_input_opts(p: argparse.ArgumentParser):
     sources = p.add_mutually_exclusive_group(required=True)
     sources.add_argument("--input", help="input file of graphs, one per line")
     sources.add_argument("--stdin", action="store_true", help="read graphs from stdin")
-    p.add_argument(
-        "--format", choices=sorted(FORMAT_ALIASES), default="s6", help="input format"
-    )
+    p.add_argument("--format", choices=io.FORMATS, default="s6", help="input format")
     return sources
 
 

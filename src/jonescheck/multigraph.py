@@ -14,13 +14,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
-def vertex_set(indices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free vertex index tuple."""
-    return tuple(sorted(set(indices)))
-
-
-def edge_set(indices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free edge index tuple."""
+def _index_set(indices: Iterable[int]) -> tuple[int, ...]:
+    """Sorted duplicate-free tuple of vertex or edge indices."""
     return tuple(sorted(set(indices)))
 
 
@@ -167,7 +162,7 @@ class EditResult(NamedTuple):
 
 
 def _check_vertices(g: Multigraph, w: Iterable[int]) -> tuple[int, ...]:
-    w = vertex_set(w)
+    w = _index_set(w)
     for v in w:
         if not (0 <= v < g.n):
             raise IndexError(f"vertex {v} out of range for n={g.n}")
@@ -190,7 +185,7 @@ def delete_vertices(g: Multigraph, w: Iterable[int]) -> EditResult:
 
 
 def delete_edges(g: Multigraph, f: Iterable[int]) -> EditResult:
-    f = edge_set(f)
+    f = _index_set(f)
     for e in f:
         if not (0 <= e < g.m):
             raise IndexError(f"edge {e} out of range for m={g.m}")

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multigraph import Multigraph, add_edge, delete_vertices
+from .multigraph import (
+    Multigraph,
+    add_edge,
+    contract_side_to_vertex,
+    delete_edges,
+    delete_vertices,
+)
 from .structure import EdgeCut
 from .solvers import CyclePacking, FeedbackSet, cp_exact, fvs_exact
 
@@ -150,7 +156,7 @@ class SuppressedVertex:
     def fvs_to_parent(self, s: FeedbackSet) -> FeedbackSet:
         """A feedback set of the child is one of the parent, same size."""
         verts = tuple(sorted(self.vertex_map[v] for v in s.vertices))
-        out = FeedbackSet(verts, s.size, optimal=False)
+        out = FeedbackSet(verts, s.size)
         out.verify(self.parent)
         return out
 
@@ -202,12 +208,20 @@ def delete_degree_le1(g: Multigraph):
         cur = res.graph
 
 
+def _solved_sizes(
+    d: Decomposition, time_limit_s: float | None
+) -> tuple[dict[str, int], dict[str, int]]:
+    """fvs and cp sizes of the parent, under key "G", and of every part."""
+    graphs = {"G": d.parent, **{k: p.graph for k, p in d.parts.items()}}
+    f = {k: fvs_exact(h, time_limit_s=time_limit_s).size for k, h in graphs.items()}
+    c = {k: cp_exact(h, time_limit_s=time_limit_s).size for k, h in graphs.items()}
+    return f, c
+
+
 # -- bridges ---------------------------------------------------------------
 
 
 def split_bridge(g: Multigraph, e: int) -> Decomposition:
-    from .multigraph import delete_edges
-
     h = delete_edges(g, (e,)).graph
     if h.component_count() <= g.component_count():
         raise ValueError(f"edge {e} is not a bridge")
@@ -224,16 +238,11 @@ def split_bridge(g: Multigraph, e: int) -> Decomposition:
 def check_bridge_certificate(
     d: Decomposition, time_limit_s: float | None = None
 ) -> Certificate:
-    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
-    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
-    f1 = fvs_exact(d.parts["G1"].graph, time_limit_s=time_limit_s).size
-    f2 = fvs_exact(d.parts["G2"].graph, time_limit_s=time_limit_s).size
-    c1 = cp_exact(d.parts["G1"].graph, time_limit_s=time_limit_s).size
-    c2 = cp_exact(d.parts["G2"].graph, time_limit_s=time_limit_s).size
+    f, c = _solved_sizes(d, time_limit_s)
     return Certificate(
         (
-            _entry("fvs_union", fvs_g, "<=", f1 + f2),
-            _entry("cp_union", cp_g, ">=", c1 + c2),
+            _entry("fvs_union", f["G"], "<=", f["G1"] + f["G2"]),
+            _entry("cp_union", c["G"], ">=", c["G1"] + c["G2"]),
         )
     )
 
@@ -271,16 +280,8 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
 def check_cut2_certificate(
     d: Decomposition, time_limit_s: float | None = None
 ) -> Certificate:
-    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
-    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
-    f = {
-        k: fvs_exact(p.graph, time_limit_s=time_limit_s).size
-        for k, p in d.parts.items()
-    }
-    c = {
-        k: cp_exact(p.graph, time_limit_s=time_limit_s).size
-        for k, p in d.parts.items()
-    }
+    f, c = _solved_sizes(d, time_limit_s)
+    fvs_g, cp_g = f["G"], c["G"]
     entries = [
         _entry("cp_sandwich_1_lo", c["G1"], "<=", c["G1p"]),
         _entry("cp_sandwich_1_hi", c["G1p"], "<=", c["G1"] + 1),
@@ -360,8 +361,6 @@ def decompose_3cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
             ub = ub1 if i == 1 else ub2
             parts[f"G{i}_{pair}"] = _with_virtual_edge(part, idx[ua], idx[ub], (ea, eb))
     # G_i^{ABC}: contract the other side into one vertex x
-    from .multigraph import contract_side_to_vertex
-
     for i, side in ((1, side1), (2, side2)):
         res = contract_side_to_vertex(g, side)
         parts[f"G{i}_ABC"] = Part(res.graph, res.vertex_map, res.edge_map)
@@ -468,16 +467,8 @@ def check_cut3_certificate(
     """
     if d.kind != "cut3":
         raise ValueError("decomposition is not a 3-cut")
-    f = {
-        k: fvs_exact(p.graph, time_limit_s=time_limit_s).size
-        for k, p in d.parts.items()
-    }
-    c = {
-        k: cp_exact(p.graph, time_limit_s=time_limit_s).size
-        for k, p in d.parts.items()
-    }
-    fvs_g = fvs_exact(d.parent, time_limit_s=time_limit_s).size
-    cp_g = cp_exact(d.parent, time_limit_s=time_limit_s).size
+    f, c = _solved_sizes(d, time_limit_s)
+    fvs_g, cp_g = f["G"], c["G"]
 
     complement = {"A": "BC", "B": "AC", "C": "AB"}
     entries = [_entry("a_cp_union", cp_g, ">=", c["G1"] + c["G2"])]

@@ -39,7 +39,6 @@ def _deadline(time_limit_s: float | None) -> float | None:
 class FeedbackSet:
     vertices: tuple[int, ...]
     size: int
-    optimal: bool = False
 
     def verify(self, g: Multigraph) -> None:
         if not delete_vertices(g, self.vertices).graph.is_forest():
@@ -85,7 +84,6 @@ def _is_cycle_subgraph(g: Multigraph, edge_ids: tuple[int, ...]) -> bool:
 class CyclePacking:
     cycles: tuple[tuple[int, ...], ...]  # edge-id lists
     size: int
-    optimal: bool = False
 
     def verify(self, g: Multigraph) -> None:
         if self.size != len(self.cycles):
@@ -123,71 +121,15 @@ class FacePacking:
 
 
 def enumerate_cycles(
-    g: Multigraph,
-    deadline: float | None = None,
-    minimal: bool = False,
-    max_len: int | None = None,
+    g: Multigraph, deadline: float | None = None, max_len: int | None = None
 ) -> list[Cycle]:
-    """Simple cycles, each exactly once, deterministic order.
+    """The vertex-minimal cycles: those with no other cycle on a subset of
+    their vertices, each exactly once, in a deterministic order.
 
-    Loops are cycles of length 1 and parallel pairs cycles of length 2.
     A cycle is reported from its minimal vertex; the traversal direction is
-    fixed by requiring first edge id < last edge id.  With `minimal=True`
-    only the vertex-minimal cycles are listed (`_minimal_cycles`), and
-    `max_len` then keeps only those with at most `max_len` vertices: the
-    search never grows a path past that length.  The `deadline` (a
-    `time.monotonic()` value) is checked every 1,024 steps of the search, so
-    a search that finds few cycles stops in time as well.
-    """
-    if minimal:
-        return _minimal_cycles(g, deadline, g.n if max_len is None else max_len)
-    if max_len is not None:
-        raise ValueError("max_len needs minimal=True")
-    out: list[Cycle] = []
-    for v in range(g.n):
-        for eid in g.loops[v]:
-            out.append(Cycle((eid,), (v,)))
-    adj = g.adjacency
-    steps = 0
-    for root in range(g.n):
-        # depth-first search with an explicit stack of adjacency iterators,
-        # so long cycles do not exhaust the interpreter's recursion limit
-        path_edges: list[int] = []
-        path_verts: list[int] = [root]
-        on_path = {root}
-        frames = [iter(adj[root])]
-        while frames:
-            for y, eid in frames[-1]:
-                if path_edges and eid == path_edges[-1]:
-                    continue  # the edge the path arrived by
-                if y == root and path_edges:
-                    if path_edges[0] < eid:
-                        out.append(
-                            Cycle(tuple(path_edges) + (eid,), tuple(sorted(on_path)))
-                        )
-                elif y > root and y not in on_path:
-                    steps += 1
-                    if not steps & 1023:
-                        _check_deadline(deadline)
-                    path_edges.append(eid)
-                    path_verts.append(y)
-                    on_path.add(y)
-                    frames.append(iter(adj[y]))
-                    break
-            else:
-                frames.pop()
-                if path_edges:
-                    path_edges.pop()
-                    on_path.remove(path_verts.pop())
-    return out
-
-
-def _minimal_cycles(g: Multigraph, deadline: float | None, max_len: int) -> list[Cycle]:
-    """The cycles with no other cycle on a subset of their vertices, and
-    at most `max_len` of them.
-
-    One cycle per vertex set, as `enumerate_cycles` reports it:
-    - the first loop at each vertex;
+    fixed by requiring first edge id < last edge id.  One cycle per vertex
+    set:
+    - the first loop at each vertex (a cycle of length 1);
     - for each pair joined by two or more edges, neither end with a loop,
       the 2-cycle on its two smallest edge ids;
     - each cycle on three or more loop-free vertices, joined by single
@@ -195,7 +137,9 @@ def _minimal_cycles(g: Multigraph, deadline: float | None, max_len: int) -> list
     (The plain chordless test, "induced edges == length", is wrong on
     multigraphs: it would drop every 2-cycle of a triple edge.)  A packing
     can trade any other cycle for a listed one on a subset of its vertices,
-    so the maximum packing size is unchanged.
+    so the maximum packing size is unchanged.  `max_len` keeps only the
+    cycles with at most `max_len` vertices: the search never grows a path
+    past that length.
 
     The long cycles come from an induced-path search, after Uno & Satoh
     (Discovery Science 2014) and Dias, Castonguay, Longo & Jradi
@@ -204,8 +148,12 @@ def _minimal_cycles(g: Multigraph, deadline: float | None, max_len: int) -> list
     when y is adjacent to r, and never grows past such a y.  It walks only
     single edges between loop-free vertices, and only those in the
     biconnected block of its first edge, since every such cycle lies in one
-    block of that graph.
+    block of that graph.  The `deadline` (a `time.monotonic()` value) is
+    checked every 1,024 steps of the search, so a search that finds few
+    cycles stops in time as well.
     """
+    if max_len is None:
+        max_len = g.n
     n = g.n
     out = [Cycle((lp[0],), (v,)) for v, lp in enumerate(g.loops) if lp]
     pairs: dict[tuple[int, int], list[int]] = {}
@@ -381,59 +329,6 @@ def _reduce(work: _Work, kept: set[int], chosen: list[int]) -> bool:
     return True
 
 
-def _greedy_disjoint_cycles(work: _Work) -> int:
-    """Number of vertex-disjoint cycles found greedily; a valid FVS lower bound."""
-    adj = {v: dict(d) for v, d in work.adj.items()}
-    loops = {v for v in work.adj if work.nloops[v] > 0}
-    count = len(loops)
-    for v in loops:
-        for u in adj[v]:
-            del adj[u][v]
-        del adj[v]
-    alive = {v for v in adj if adj[v]}
-    while alive:
-        # walk forward without reusing the incoming edge until a repeat
-        start = min(alive)
-        if not any(sum(adj[x].values()) >= 2 for x in alive):
-            break
-        x = start
-        if sum(adj[x].values()) < 2:
-            alive.discard(x)
-            continue
-        seen_at = {x: 0}
-        path = [x]
-        prev_edge: tuple[int, int] | None = None
-        cyc = None
-        while True:
-            nxt = None
-            for y, mult in adj[x].items():
-                e = (min(x, y), max(x, y))
-                if mult >= 2 or e != prev_edge:
-                    nxt = y
-                    break
-            if nxt is None:
-                break
-            e = (min(x, nxt), max(x, nxt))
-            if nxt in seen_at:
-                cyc = path[seen_at[nxt] :]
-                break
-            seen_at[nxt] = len(path)
-            path.append(nxt)
-            prev_edge = e
-            x = nxt
-        if cyc is None:
-            alive.discard(start)
-            continue
-        count += 1
-        for v in cyc:
-            for u in adj[v]:
-                del adj[u][v]
-            del adj[v]
-            alive.discard(v)
-        alive = {v for v in alive if v in adj and adj[v]}
-    return count
-
-
 def _degree_lower_bound(work: _Work, kept: frozenset[int]) -> int | None:
     """Least number of free vertices whose deletion can leave a forest.
 
@@ -500,13 +395,8 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
             best_size = len(chosen)
             return
         bound = _degree_lower_bound(work, kept)
-        if bound is None:
-            return  # the free vertices cannot break every cycle
-        if (
-            len(chosen) + bound >= best_size
-            or len(chosen) + _greedy_disjoint_cycles(work) >= best_size
-        ):
-            return
+        if bound is None or len(chosen) + bound >= best_size:
+            return  # the free vertices cannot break every cycle, or beat best
         cands = [v for v in work.adj if v not in kept]
         v = max(cands, key=lambda x: (work.degree(x), -x))
         in_branch = work.copy()
@@ -515,7 +405,7 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
         search(work, list(chosen), kept | {v})
 
     search(_Work(g), [], frozenset())
-    fs = FeedbackSet(tuple(best), best_size, optimal=True)
+    fs = FeedbackSet(tuple(best), best_size)
     fs.verify(g)
     return fs
 
@@ -571,7 +461,7 @@ _SHORT_CYCLES = 6  # cap of the first enumeration pass of cp_exact
 
 
 def _minimal_by_length(g: Multigraph, deadline: float | None, max_len: int) -> list[Cycle]:
-    cycles = enumerate_cycles(g, deadline=deadline, minimal=True, max_len=max_len)
+    cycles = enumerate_cycles(g, deadline=deadline, max_len=max_len)
     return sorted(cycles, key=lambda c: (len(c.vertices), c.edges))
 
 
@@ -591,7 +481,7 @@ def _packing_cap(n: int, cycles: list[Cycle]) -> int:
 def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     """Maximum cycle packing via independent set over vertex-minimal cycles.
 
-    Packs the vertex-minimal cycles (`enumerate_cycles(minimal=True)`),
+    Packs the vertex-minimal cycles (`enumerate_cycles`),
     sorted by (length, edges), with `_mis_over_masks`, but lists only a
     prefix of them on graphs of more than 2 * `_SHORT_CYCLES` vertices.  A
     first pass lists the cycles of at most `_SHORT_CYCLES` vertices; their
@@ -622,7 +512,7 @@ def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     lens = [len(c.vertices) for c in cycles]
     picked = _mis_over_masks(masks, lens, g.n, deadline)
     chosen = tuple(sorted(cycles[i].edges for i in picked))
-    cp = CyclePacking(chosen, len(chosen), optimal=True)
+    cp = CyclePacking(chosen, len(chosen))
     cp.verify(g)
     return cp
 

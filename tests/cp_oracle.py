@@ -8,8 +8,8 @@ never enumerates the cycles of the whole graph, so it shares no code with
 `cp_exact` beyond the witness check.
 
 `_vertex_minimal` is the filter `cp_exact` applied to the list of all
-cycles before `enumerate_cycles(minimal=True)` listed the kept ones
-directly; it is kept word for word as well.
+cycles (`bruteforce_oracle.all_cycles`) before `enumerate_cycles` listed
+the kept ones directly; it is kept word for word as well.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _cp_branch(g: Multigraph, deadline: float | None) -> CyclePacking:
         search(alive - {v}, packed)
 
     search(set(range(g.n)), [])
-    cp = CyclePacking(tuple(sorted(best)), len(best), optimal=True)
+    cp = CyclePacking(tuple(sorted(best)), len(best))
     cp.verify(g)
     return cp
 

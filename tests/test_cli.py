@@ -200,6 +200,28 @@ def test_verify_edges_format(capsys, tmp_path):
     assert lines[0]["values"] == {"cp": 2, "fvs": 2, "fp_fixed": 2}
 
 
+def test_verify_g6_format(capsys, monkeypatch):
+    import io as _io
+
+    monkeypatch.setattr("sys.stdin", _io.StringIO("C~\n"))  # K4
+    code, lines = _run(capsys, ["verify", "--stdin", "--format", "g6"])
+    assert code == 0
+    assert lines[0]["values"]["fvs"] == 2 and lines[0]["values"]["cp"] == 1
+
+
+def test_stdin_not_utf8_is_input_error(capsys, monkeypatch):
+    # a UTF-8 locale decodes stdin strictly, so the bytes fail in read()
+    import io as _io
+
+    strict = _io.TextIOWrapper(_io.BytesIO(b"\xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", strict)
+    assert cli.main(["verify", "--stdin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stdin: 'utf-8' codec can't decode" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_streams_records(tmp_path, corpus_file, monkeypatch):
     # each record is written and flushed before the next graph is checked
     out = tmp_path / "report.jsonl"

@@ -42,7 +42,7 @@ def test_suppress_witness_maps():
     lifted.verify(c5)
     child_cp = solvers.cp_exact(res.graph)
     lifted_cycles = tuple(res.cycle_to_parent(cyc) for cyc in child_cp.cycles)
-    solvers.CyclePacking(lifted_cycles, child_cp.size, optimal=False).verify(c5)
+    solvers.CyclePacking(lifted_cycles, child_cp.size).verify(c5)
     parent_fvs = solvers.fvs_exact(c5)
     pushed = res.fvs_to_child(parent_fvs)
     pushed.verify(res.graph)

@@ -10,15 +10,18 @@ from jonescheck.multigraph import Multigraph
 
 
 def test_enumerate_cycles_counts():
-    assert len(solvers.enumerate_cycles(graphs.complete(4))) == 7
-    assert len(solvers.enumerate_cycles(graphs.theta())) == 3
-    assert len(solvers.enumerate_cycles(graphs.cycle(5))) == 1
-    assert len(solvers.enumerate_cycles(Multigraph(1, ((0, 0),)))) == 1
-    assert solvers.enumerate_cycles(graphs.path(4)) == []
+    k4_and_theta = (graphs.complete(4), graphs.theta())
+    assert [len(solvers.enumerate_cycles(g)) for g in k4_and_theta] == [4, 1]
+    assert [len(bruteforce_oracle.all_cycles(g)) for g in k4_and_theta] == [7, 3]
+    for enum in (solvers.enumerate_cycles, bruteforce_oracle.all_cycles):
+        assert len(enum(graphs.cycle(5))) == 1
+        assert len(enum(Multigraph(1, ((0, 0),)))) == 1
+        assert enum(graphs.path(4)) == []
 
 
 def test_enumerate_cycles_deadline():
-    # GP(14,2) has 13,562 cycles, so the deadline is checked on the way
+    # GP(14,2) has 787 vertex-minimal cycles, found over more than 1,024
+    # search steps, so the deadline is checked on the way
     with pytest.raises(solvers.SolverLimit):
         solvers.enumerate_cycles(
             graphs.generalized_petersen(14, 2), deadline=time.monotonic() - 1.0
@@ -28,11 +31,11 @@ def test_enumerate_cycles_deadline():
 @pytest.mark.parametrize("minimal", [False, True])
 def test_enumerate_cycles_deadline_per_step(minimal):
     # C_1500 has one cycle, found only after about 1,500 search steps, so the
-    # deadline must be checked per step, not per cycle found
+    # deadline must be checked per step, not per cycle found; the oracle's
+    # list of all cycles checks it the same way
+    enum = solvers.enumerate_cycles if minimal else bruteforce_oracle.all_cycles
     with pytest.raises(solvers.SolverLimit):
-        solvers.enumerate_cycles(
-            graphs.cycle(1500), deadline=time.monotonic() - 1.0, minimal=minimal
-        )
+        enum(graphs.cycle(1500), deadline=time.monotonic() - 1.0)
 
 
 def _bridged_squares(k: int) -> Multigraph:
@@ -60,12 +63,23 @@ def test_cp_long_path_and_cycle_linear():
     assert solvers.cp_exact(graphs.cycle(1500), time_limit_s=0.5).size == 1
 
 
+def _chained_k4s(k: int) -> Multigraph:
+    """k copies of K4, each joined to the next by a bridge from its vertex 3
+    to the next one's vertex 0; maximum degree 4."""
+    edges = []
+    for b in range(0, 4 * k, 4):
+        edges += [(b + i, b + j) for i in range(4) for j in range(i + 1, 4)]
+        if b:
+            edges.append((b - 1, b))
+    return Multigraph(4 * k, tuple(edges))
+
+
 def _assert_minimal_matches_oracle(g: Multigraph) -> None:
     def key(c):
         return (len(c.vertices), c.edges)
 
-    kept, _ = cp_oracle._vertex_minimal(g, sorted(solvers.enumerate_cycles(g), key=key))
-    assert sorted(solvers.enumerate_cycles(g, minimal=True), key=key) == kept
+    kept, _ = cp_oracle._vertex_minimal(g, sorted(bruteforce_oracle.all_cycles(g), key=key))
+    assert sorted(solvers.enumerate_cycles(g), key=key) == kept
 
 
 def test_minimal_cycles_match_oracle_random():
@@ -86,12 +100,10 @@ def test_enumerate_cycles_max_len(multi_corpus_8):
     # the capped search lists exactly the short end of the full minimal list
     gps = [graphs.generalized_petersen(n, k) for n, k in ((10, 2), (12, 2), (14, 2), (13, 1))]
     for g in multi_corpus_8 + gps:
-        full = solvers.enumerate_cycles(g, minimal=True)
+        full = solvers.enumerate_cycles(g)
         for cap in range(g.n + 2):
-            capped = solvers.enumerate_cycles(g, minimal=True, max_len=cap)
+            capped = solvers.enumerate_cycles(g, max_len=cap)
             assert capped == [c for c in full if len(c.vertices) <= cap]
-    with pytest.raises(ValueError):
-        solvers.enumerate_cycles(graphs.prism(), max_len=4)
 
 
 def test_fvs_examples():
@@ -141,7 +153,7 @@ def test_witness_verification():
     fvs.verify(g)
     cp = solvers.cp_exact(g)
     cp.verify(g)
-    bad = solvers.FeedbackSet(vertices=(0,), size=1, optimal=False)
+    bad = solvers.FeedbackSet(vertices=(0,), size=1)
     with pytest.raises(AssertionError):
         bad.verify(g)
 
@@ -193,12 +205,15 @@ def test_oracle_equivalence_random():
         )
         graphs_.append(Multigraph(n, edges))
     graphs_ += [_random_multigraph(rng) for _ in range(400)]
-    for g in graphs_:
+    # degree-4 bridge ends on n = 8 and 12, past the random multigraphs
+    chains = [_chained_k4s(2), _chained_k4s(3)]
+    assert [solvers.fvs_exact(g).size for g in chains] == [4, 6]
+    for g in graphs_ + chains:
         fvs = bruteforce_oracle.fvs_bruteforce(g).size
         assert solvers.fvs_exact(g).size == fvs
         # the degree bound alone, on the whole graph, never exceeds fvs
         assert solvers._degree_lower_bound(solvers._Work(g), frozenset()) <= fvs
-        if len(solvers.enumerate_cycles(g)) <= 20:
+        if len(bruteforce_oracle.all_cycles(g)) <= 20:
             assert solvers.cp_exact(g).size == bruteforce_oracle.cp_bruteforce(g).size
         else:
             assert solvers.cp_exact(g).size == cp_oracle._cp_branch(g, None).size
@@ -232,9 +247,7 @@ def _random_cubic_planar(n: int, rng: random.Random) -> Multigraph:
 
 def _cp_uncapped(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     """The witness of the whole minimal-cycle list packed by _mis_over_masks."""
-    cycles = sorted(
-        solvers.enumerate_cycles(g, minimal=True), key=lambda c: (len(c.vertices), c.edges)
-    )
+    cycles = sorted(solvers.enumerate_cycles(g), key=lambda c: (len(c.vertices), c.edges))
     masks = [sum(1 << v for v in c.vertices) for c in cycles]
     picked = solvers._mis_over_masks(masks, [len(c.vertices) for c in cycles], g.n, None)
     return tuple(sorted(cycles[i].edges for i in picked))
@@ -265,7 +278,7 @@ def test_cp_capped_matches_uncapped(monkeypatch):
         for short in (6, 3):
             monkeypatch.setattr(solvers, "_SHORT_CYCLES", short)
             assert solvers.cp_exact(g).cycles == whole
-        if len(solvers.enumerate_cycles(g)) <= 12:
+        if len(bruteforce_oracle.all_cycles(g)) <= 12:
             assert len(whole) == bruteforce_oracle.cp_bruteforce(g).size
         elif g.n <= 22:
             assert len(whole) == cp_oracle._cp_branch(g, None).size
