@@ -348,23 +348,19 @@ def _strip_low_degree(g: Multigraph) -> tuple[Multigraph, bool]:
     """Exhaustive degree-<=1 deletion and degree-2 suppression.
 
     Suppressing v changes no other degree (u trades vu for uw; if u = w it
-    trades two edge ends for a loop), so no degree-<=1 vertex reappears.
+    trades two edge ends for a loop), so no degree-<=1 vertex reappears and
+    no vertex becomes suppressible.  The vertices below v keep their labels,
+    so the scan for the next one resumes at v.
     """
     cur, _, _ = reduction.delete_degree_le1(g)
     changed = cur.n != g.n
-    while True:
-        v = next(
-            (
-                x
-                for x in range(cur.n)
-                if cur.degree(x) == 2 and not cur.loops[x]
-            ),
-            None,
-        )
-        if v is None:
-            break
-        cur = reduction.suppress_degree2(cur, v).graph
-        changed = True
+    x = 0
+    while x < cur.n:
+        if cur.degree(x) == 2 and not cur.loops[x]:
+            cur = reduction.suppress_degree2(cur, x).graph
+            changed = True
+        else:
+            x += 1
     return cur, changed
 
 

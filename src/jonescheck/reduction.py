@@ -6,6 +6,18 @@ vertex/edge maps back to the parent so feedback sets and cycle packings can
 be lifted and re-verified.  Certificates evaluate only inequalities that are
 valid for arbitrary graphs; conditional equalities that hold just for a
 hypothetical minimal counterexample are recorded as observations.
+
+A certificate solves each distinct part graph once and takes the parent's
+values from the parts' witnesses, lifted and verified on the parent, by
+exact formulas (f, c: fvs, cp; Gi: side i; Gi': side i plus the 2-cut's
+virtual edge; Gi_XY: side i plus the virtual edge for 3-cut edges X, Y):
+- bridge, which lies on no cycle: fvs = f(G1) + f(G2), cp = c(G1) + c(G2);
+- 2-cut, whose crossing cycles use both cut edges:
+  fvs = min(f(G1') + f(G2), f(G1) + f(G2')),
+  cp = max(c(G1) + c(G2), c(G1') + c(G2') - 1);
+- 3-cut: cp = max(c(G1) + c(G2), c(G1_XY) + c(G2_XY) - 1 over the pairs XY),
+  as a packing holds at most one crossing cycle.  No part pins the 3-cut's
+  fvs down, so it alone is still solved on the parent.
 """
 
 from __future__ import annotations
@@ -173,55 +185,119 @@ class SuppressedVertex:
 
 
 def suppress_degree2(g: Multigraph, v: int) -> SuppressedVertex:
-    inc = [(eid, u if w == v else w) for eid, (u, w) in enumerate(g.edges) if v in (u, w)]
+    inc, edges, emap = [], [], []  # one pass builds G - v
+    for eid, (a, b) in enumerate(g.edges):
+        if v in (a, b):
+            inc.append((eid, a if b == v else b))
+        else:
+            edges.append((a - (a > v), b - (b > v)))
+            emap.append(eid)
     if g.degree(v) != 2 or len(inc) != 2:
         raise ValueError(f"vertex {v} does not have two non-loop incident edges")
     (e1, u), (e2, w) = inc
-    res = delete_vertices(g, (v,))
-    inv = {p: c for c, p in enumerate(res.vertex_map)}
-    child = add_edge(res.graph, inv[u], inv[w])  # u = w gives a loop
+    edges.append((u - (u > v), w - (w > v)))  # u = w gives a loop
+    child = Multigraph(g.n - 1, tuple(edges))
     return SuppressedVertex(
         parent=g,
         graph=child,
         suppressed=v,
         u=u,
         w=w,
-        vertex_map=res.vertex_map,
-        edge_map=res.edge_map + (-1,),
+        vertex_map=tuple(x for x in range(g.n) if x != v),
+        edge_map=tuple(emap) + (-1,),
         virtual_edge=child.m - 1,
         removed_edges=(e1, e2),
     )
 
 
 def delete_degree_le1(g: Multigraph):
-    """Iteratively strip degree <= 1 vertices; fvs and cp are unchanged."""
-    cur = g
-    vmap = tuple(range(g.n))
-    emap = tuple(range(g.m))
-    while True:
-        low = [v for v in range(cur.n) if cur.degree(v) <= 1]
-        if not low:
-            return cur, vmap, emap
-        res = delete_vertices(cur, low)
-        vmap = tuple(vmap[v] for v in res.vertex_map)
-        emap = tuple(emap[e] for e in res.edge_map)
-        cur = res.graph
+    """Strip degree <= 1 vertices until none is left, peeling with a queue;
+    fvs and cp are unchanged."""
+    deg = list(g.degrees())
+    queue = [v for v in range(g.n) if deg[v] <= 1]
+    if not queue:
+        return g, tuple(range(g.n)), tuple(range(g.m))
+    gone = set(queue)
+    adj = g.adjacency
+    while queue:
+        for y, _ in adj[queue.pop()]:
+            deg[y] -= 1
+            if deg[y] <= 1 and y not in gone:
+                gone.add(y)
+                queue.append(y)
+    res = delete_vertices(g, gone)
+    return res.graph, res.vertex_map, res.edge_map
 
 
-def _solved_sizes(
+def _solve_parts(
     d: Decomposition, time_limit_s: float | None
-) -> tuple[dict[str, int], dict[str, int]]:
-    """fvs and cp sizes of the parent, under key "G", and of every part."""
-    graphs = {"G": d.parent, **{k: p.graph for k, p in d.parts.items()}}
-    f = {k: fvs_exact(h, time_limit_s=time_limit_s).size for k, h in graphs.items()}
-    c = {k: cp_exact(h, time_limit_s=time_limit_s).size for k, h in graphs.items()}
+) -> tuple[dict[str, FeedbackSet], dict[str, CyclePacking]]:
+    """Exact fvs and cp witnesses of the parts a certificate reads (no
+    packing of a contracted part), each distinct part graph solved once:
+    the two sides of a symmetric cut often come out as the same graph."""
+    solved: dict = {}
+
+    def solve(solver, h: Multigraph):
+        if (solver, h) not in solved:
+            solved[solver, h] = solver(h, time_limit_s=time_limit_s)
+        return solved[solver, h]
+
+    f = {k: solve(fvs_exact, p.graph) for k, p in d.parts.items()}
+    c = {k: solve(cp_exact, p.graph) for k, p in d.parts.items() if not k.endswith("_ABC")}
     return f, c
+
+
+def _sizes(witnesses: dict) -> dict[str, int]:
+    return {k: w.size for k, w in witnesses.items()}
+
+
+def _lift_fvs(d: Decomposition, sets: dict[str, FeedbackSet], k1: str, k2: str) -> FeedbackSet:
+    """The union of the feedback sets of the parts k1 and k2, one per side,
+    as a feedback set of the parent."""
+    verts = [v for k in (k1, k2) for v in d.parts[k].map_vertices(sets[k].vertices)]
+    out = FeedbackSet(tuple(sorted(verts)), len(verts))
+    out.verify(d.parent)
+    return out
+
+
+def _lift_packing(
+    d: Decomposition, packings: dict[str, CyclePacking], k1: str, k2: str
+) -> CyclePacking:
+    """The packings of the parts k1 and k2, one per side, as a packing of the
+    parent.  A part may carry one virtual edge, standing for two cut edges;
+    when both packings hold a cycle through their virtual edge, the two
+    merge into one parent cycle through those cut edges (size p1 + p2 - 1),
+    and otherwise only the cycles avoiding the virtual edges transfer."""
+    cycles: list[tuple[int, ...]] = []
+    halves: list[tuple[int, ...]] = []
+    for key in (k1, k2):
+        part = d.parts[key]
+        for cyc in packings[key].cycles:
+            virtual = [e for e in cyc if e in part.virtual_edges]
+            if virtual:
+                tag = part.virtual_edges[virtual[0]]
+                halves.append(part.map_edges(e for e in cyc if e != virtual[0]))
+            else:
+                cycles.append(part.map_edges(cyc))
+    if len(halves) == 2:
+        cycles.append(tuple(sorted(halves[0] + halves[1] + tag)))
+    out = CyclePacking(tuple(sorted(cycles)), len(cycles))
+    out.verify(d.parent)
+    return out
 
 
 # -- bridges ---------------------------------------------------------------
 
 
+def _require_connected(g: Multigraph) -> None:
+    # other components would fall out of every part, and no lifted witness
+    # would cover them
+    if not g.is_connected():
+        raise ValueError("a decomposition needs a connected parent")
+
+
 def split_bridge(g: Multigraph, e: int) -> Decomposition:
+    _require_connected(g)
     h = delete_edges(g, (e,)).graph
     if h.component_count() <= g.component_count():
         raise ValueError(f"edge {e} is not a bridge")
@@ -238,7 +314,14 @@ def split_bridge(g: Multigraph, e: int) -> Decomposition:
 def check_bridge_certificate(
     d: Decomposition, time_limit_s: float | None = None
 ) -> Certificate:
-    f, c = _solved_sizes(d, time_limit_s)
+    fw, cw = _solve_parts(d, time_limit_s)
+    f, c = _sizes(fw), _sizes(cw)
+    f["G"] = _lift_fvs(d, fw, "G1", "G2").size
+    c["G"] = _lift_packing(d, cw, "G1", "G2").size
+    return _bridge_certificate(f, c)
+
+
+def _bridge_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
     return Certificate(
         (
             _entry("fvs_union", f["G"], "<=", f["G1"] + f["G2"]),
@@ -253,6 +336,7 @@ def check_bridge_certificate(
 def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
     if len(cut.edges) != 2:
         raise ValueError("cut must have exactly 2 edges")
+    _require_connected(g)
     e1, e2 = cut.edges
     side1, side2 = cut.side_a, cut.side_b
     in1 = set(side1)
@@ -280,7 +364,19 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
 def check_cut2_certificate(
     d: Decomposition, time_limit_s: float | None = None
 ) -> Certificate:
-    f, c = _solved_sizes(d, time_limit_s)
+    fw, cw = _solve_parts(d, time_limit_s)
+    f, c = _sizes(fw), _sizes(cw)
+    # the union that includes the virtual-edge side; the merge when both gain
+    sides = ("G1p", "G2") if f["G1p"] + f["G2"] <= f["G1"] + f["G2p"] else ("G1", "G2p")
+    f["G"] = _lift_fvs(d, fw, *sides).size
+    if c["G1p"] + c["G2p"] - 1 > c["G1"] + c["G2"]:
+        c["G"] = combine_packings_2cut(d, cw["G1p"], cw["G2p"]).size
+    else:
+        c["G"] = _lift_packing(d, cw, "G1", "G2").size
+    return _cut2_certificate(f, c)
+
+
+def _cut2_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
     fvs_g, cp_g = f["G"], c["G"]
     entries = [
         _entry("cp_sandwich_1_lo", c["G1"], "<=", c["G1p"]),
@@ -306,30 +402,9 @@ def combine_packings_2cut(
     """
     if d.kind != "cut2":
         raise ValueError("decomposition is not a 2-cut")
-    g1p, g2p = d.parts["G1p"], d.parts["G2p"]
-    p1.verify(g1p.graph)
-    p2.verify(g2p.graph)
-    (v1,) = g1p.virtual_edges
-    (v2,) = g2p.virtual_edges
-    c1v = [c for c in p1.cycles if v1 in c]
-    c2v = [c for c in p2.cycles if v2 in c]
-    cycles: list[tuple[int, ...]] = []
-    for c in p1.cycles:
-        if v1 not in c:
-            cycles.append(g1p.map_edges(c))
-    for c in p2.cycles:
-        if v2 not in c:
-            cycles.append(g2p.map_edges(c))
-    if c1v and c2v:
-        merged = (
-            g1p.map_edges(tuple(e for e in c1v[0] if e != v1))
-            + g2p.map_edges(tuple(e for e in c2v[0] if e != v2))
-            + d.cut
-        )
-        cycles.append(tuple(sorted(merged)))
-    out = CyclePacking(tuple(sorted(cycles)), len(cycles))
-    out.verify(d.parent)
-    return out
+    p1.verify(d.parts["G1p"].graph)
+    p2.verify(d.parts["G2p"].graph)
+    return _lift_packing(d, {"G1p": p1, "G2p": p2}, "G1p", "G2p")
 
 
 # -- nontrivial 3-edge-cuts ------------------------------------------------
@@ -340,6 +415,7 @@ _PAIRS = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
 def decompose_3cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
     if len(cut.edges) != 3 or cut.trivial:
         raise ValueError("cut must be a nontrivial 3-edge-cut")
+    _require_connected(g)
     e_a, e_b, e_c = cut.edges
     side1, side2 = cut.side_a, cut.side_b
     in1 = set(side1)
@@ -467,7 +543,17 @@ def check_cut3_certificate(
     """
     if d.kind != "cut3":
         raise ValueError("decomposition is not a 3-cut")
-    f, c = _solved_sizes(d, time_limit_s)
+    fw, cw = _solve_parts(d, time_limit_s)
+    f, c = _sizes(fw), _sizes(cw)
+    f["G"] = fvs_exact(d.parent, time_limit_s=time_limit_s).size
+    # the union, or the merge through the cut edges of a pair where both gain
+    gain = [p for p in _PAIRS if c[f"G1_{p}"] + c[f"G2_{p}"] - 1 > c["G1"] + c["G2"]]
+    sides = (f"G1_{gain[0]}", f"G2_{gain[0]}") if gain else ("G1", "G2")
+    c["G"] = _lift_packing(d, cw, *sides).size
+    return _cut3_certificate(f, c)
+
+
+def _cut3_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
     fvs_g, cp_g = f["G"], c["G"]
 
     complement = {"A": "BC", "B": "AC", "C": "AB"}
@@ -517,6 +603,12 @@ def check_cut3_certificate(
 
 
 def certify(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
+    """The certificate of a decomposition (empty for a low-degree one).  The
+    parent's values come from lifted, verified part witnesses: bridge
+    fvs = f1 + f2, cp = c1 + c2; 2-cut fvs = min(f(G1') + f2, f1 + f(G2')),
+    cp = max(c1 + c2, c(G1') + c(G2') - 1); 3-cut cp = max(c1 + c2,
+    c(G1_XY) + c(G2_XY) - 1).  The 3-cut fvs is still solved on the parent.
+    `time_limit_s` bounds each solver call; one over it raises `SolverLimit`."""
     if d.kind == "bridge":
         return check_bridge_certificate(d, time_limit_s)
     if d.kind == "cut2":

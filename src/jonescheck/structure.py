@@ -1,9 +1,10 @@
 """Connectivity and planarity analysis for small multigraphs.
 
-Minimal edge cuts with at most 3 edges all come from one engine,
-`_small_cuts`: cycle-space signatures over a spanning forest turn the cut
-test into XORs of edge signatures, so every such cut is read off in O(m^2)
-plus one traversal per cut for its sides.  Planarity is decided on the
+Minimal edge cuts with at most 3 edges all come from one engine:
+cycle-space signatures over a spanning forest turn the cut test into XORs
+of edge signatures, so every such cut is read off in O(m^2).  `_small_cuts`
+adds one traversal per cut for its sides; `find_first_cut` stops at its
+first hit and traces that cut alone.  Planarity is decided on the
 underlying simple graph (loops and parallel edges never affect planarity).
 A graph whose 2-core has fewer than 5 vertices of degree >= 4 and fewer
 than 6 of degree >= 3 holds no Kuratowski subdivision and is planar; any
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .multigraph import Multigraph, delete_vertices
 
@@ -97,17 +98,14 @@ def vertex_connectivity(g: Multigraph) -> int:
 # -- small edge cuts -------------------------------------------------------
 
 
-def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
-    """Every minimal edge cut with 1-3 edges, sorted by (size, edge ids).
-
-    Cycle-space signatures over a spanning forest (Pritchard & Thurimella,
-    ACM TALG 7(4), 2011): each non-tree edge owns one bit, and a tree edge
-    carries the XOR of the non-tree edges whose fundamental cycles use it.
-    A set of non-loop edges is a cut exactly when its signatures XOR to 0,
-    and a minimal one when no proper subset's do.  One bit per non-tree
-    edge makes the test exact.  Loops lie in no cut and get no signature.
-    The cuts are found first; each one's sides are traced as it is yielded.
-    """
+def _signatures(g: Multigraph) -> tuple[list[int], list[int]]:
+    """The root of each vertex's tree in a spanning forest, and the
+    cycle-space signature of each edge (Pritchard & Thurimella, ACM TALG
+    7(4), 2011): each non-tree edge owns one bit, and a tree edge carries
+    the XOR of the non-tree edges whose fundamental cycles use it.  A set of
+    non-loop edges is a cut exactly when its signatures XOR to 0, and a
+    minimal one when no proper subset's do.  One bit per non-tree edge
+    makes the test exact.  Loops lie in no cut and get no signature."""
     adj = g.adjacency
     root = [-1] * g.n
     parent_edge = [-1] * g.n
@@ -141,30 +139,22 @@ def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
             sig[eid] = acc[x]
             u, v = g.edges[eid]
             acc[u + v - x] ^= acc[x]
+    return root, sig
 
-    real = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
-    found: list[tuple[int, ...]] = [(e,) for e in real if not sig[e]]
-    nonzero = [e for e in real if sig[e]]
-    by_sig: dict[int, list[int]] = {}
-    for e in nonzero:
-        by_sig.setdefault(sig[e], []).append(e)
-    for i, e in enumerate(nonzero):
-        for f in nonzero[i + 1 :]:
-            if sig[e] == sig[f]:
-                found.append((e, f))
-            else:
-                found.extend((e, f, h) for h in by_sig.get(sig[e] ^ sig[f], ()) if h > f)
-    found.sort(key=len)  # stable: each size is found in edge-id order
 
-    # a minimal cut splits one component into two connected sides; a side
-    # holds a cycle exactly when its edges, loops included, number at least
-    # its vertices
+def _side_tracer(g: Multigraph, root: list[int]) -> Callable[[tuple[int, ...]], EdgeCut]:
+    """A function that traces the sides of one minimal cut of g, given by
+    its edge ids, in one traversal.  A minimal cut splits one component
+    into two connected sides; a side holds a cycle exactly when its edges,
+    loops included, number at least its vertices."""
+    adj = g.adjacency
     deg = g.degrees()
     members: dict[int, list[int]] = {}
     for v in range(g.n):
         members.setdefault(root[v], []).append(v)
     comp_edges = {r: sum(deg[v] for v in vs) // 2 for r, vs in members.items()}
-    for edges in found:
+
+    def trace(edges: tuple[int, ...]) -> EdgeCut:
         banned = set(edges)
         start = g.edges[edges[0]][0]
         seen = {start}
@@ -179,13 +169,45 @@ def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
         side = tuple(sorted(seen))
         rest = tuple(v for v in members[root[start]] if v not in seen)
         side_a, side_b = sorted((side, rest))
-        yield EdgeCut(
+        return EdgeCut(
             edges=edges,
             side_a=side_a,
             side_b=side_b,
             trivial=min(len(side), len(rest)) <= 1,
             cyclic=inner >= len(side) and outer >= len(rest),
         )
+
+    return trace
+
+
+def _cut_edge_sets(g: Multigraph, sig: list[int]) -> Iterator[tuple[int, ...]]:
+    """The edge ids of every minimal cut with 1-3 edges, from the signatures,
+    in (size, edge ids) order and found lazily."""
+    real = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
+    yield from ((e,) for e in real if not sig[e])
+    nonzero = [e for e in real if sig[e]]
+    by_sig: dict[int, list[int]] = {}
+    for e in nonzero:
+        by_sig.setdefault(sig[e], []).append(e)
+    for e in nonzero:
+        same = by_sig[sig[e]]
+        if len(same) > 1:
+            yield from ((e, f) for f in same[same.index(e) + 1 :])
+    for i, e in enumerate(nonzero):
+        for f in nonzero[i + 1 :]:
+            if sig[e] != sig[f]:
+                for h in by_sig.get(sig[e] ^ sig[f], ()):
+                    if h > f:
+                        yield (e, f, h)
+
+
+def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
+    """Every minimal edge cut with 1-3 edges, sorted by (size, edge ids),
+    each with its sides."""
+    root, sig = _signatures(g)
+    trace = _side_tracer(g, root)
+    for edges in _cut_edge_sets(g, sig):
+        yield trace(edges)
 
 
 def _cut_flags(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
@@ -224,10 +246,18 @@ def enumerate_cuts(g: Multigraph, k: int) -> list[EdgeCut]:
 def find_first_cut(g: Multigraph) -> EdgeCut | None:
     """The first bridge, else the first minimal 2-edge cut, else the first
     nontrivial minimal 3-edge cut, each in edge-id order; None if there is
-    none."""
-    for cut in _small_cuts(g):
-        if len(cut.edges) < 3 or not cut.trivial:
-            return cut
+    none.  Only the returned cut's sides are traced.  A minimal 3-cut is
+    trivial exactly when its edges meet at a vertex w whose only non-loop
+    edges they are: deg(w) - 2 loops(w) = 3.
+    """
+    root, sig = _signatures(g)
+    deg, loops, ends = g.degrees(), g.loops, g.edges
+    for cut in _cut_edge_sets(g, sig):
+        if len(cut) < 3 or not any(
+            w in ends[cut[1]] and w in ends[cut[2]] and deg[w] - 2 * len(loops[w]) == 3
+            for w in ends[cut[0]]
+        ):
+            return _side_tracer(g, root)(cut)
     return None
 
 

@@ -73,31 +73,63 @@ def test_criterion4_fvs_le_3cp(solved):
     assert violations == 0
 
 
-def test_criterion5_cut_certificates(simple_corpus_12, multi_corpus_8):
-    pool = [g for g in simple_corpus_12 if g.n <= 10] + multi_corpus_8
-    n2 = n3 = failures = 0
-    for g in pool:
+# certificate entries whose left side is the parent's fvs or cp
+_PARENT_FVS = ("fvs_", "b_", "c_", "d_")
+_PARENT_CP = ("cp_union", "a_cp_union")
+
+
+def _parent_mismatches(cert, fvs: int, cp: int) -> int:
+    """Entries and observations of a certificate that disagree with the
+    parent's exact values."""
+    bad = 0
+    right = {}
+    for e in cert.entries:
+        right[e.name] = e.right
+        if e.name.startswith(_PARENT_FVS):
+            bad += e.left != fvs
+        elif e.name in _PARENT_CP:
+            bad += e.left != cp
+    if cert.observations:
+        bad += cert.observations["eq3"] != (fvs == right["c_fvs_plus_one"])
+        bad += cert.observations["eq4"] != (cp == right["a_cp_union"])
+    return bad
+
+
+def test_criterion5_cut_certificates(simple_corpus_12, solved):
+    # the certificates take the parent's values from lifted part witnesses;
+    # each must hold and name the parent's exact values
+    simple = solved[: len(simple_corpus_12)]
+    pool = [t for t in simple if t[0].n <= 10] + solved[len(simple_corpus_12) :]
+    n1 = n2 = n3 = failures = mismatches = 0
+    for g, fvs, cp in pool:
         if not g.is_connected():
             continue
-        if structure.enumerate_cuts(g, 1):
-            continue  # the 2-cut certificate presumes a bridgeless graph
-        for cut in structure.enumerate_cuts(g, 2):
-            d = reduction.split_2cut(g, cut)
-            if not reduction.check_cut2_certificate(d).holds:
-                failures += 1
-            n2 += 1
-        for cut in structure.enumerate_cuts(g, 3):
-            if cut.trivial:
-                continue
-            d = reduction.decompose_3cut(g, cut)
-            if not reduction.check_cut3_certificate(d).holds:
-                failures += 1
-            n3 += 1
+        certs = []
+        bridges = structure.enumerate_cuts(g, 1)
+        for cut in bridges:
+            d = reduction.split_bridge(g, cut.edges[0])
+            certs.append(reduction.check_bridge_certificate(d))
+            n1 += 1
+        if not bridges:  # the 2-cut certificate presumes a bridgeless graph
+            for cut in structure.enumerate_cuts(g, 2):
+                certs.append(reduction.check_cut2_certificate(reduction.split_2cut(g, cut)))
+                n2 += 1
+            for cut in structure.enumerate_cuts(g, 3):
+                if not cut.trivial:
+                    d = reduction.decompose_3cut(g, cut)
+                    certs.append(reduction.check_cut3_certificate(d))
+                    n3 += 1
+        for cert in certs:
+            failures += not cert.holds
+            mismatches += _parent_mismatches(cert, fvs, cp)
     print(
-        f"[criterion 5] cut certificates: {n2} two-cuts and {n3} nontrivial "
-        f"three-cuts checked, {failures} failures"
+        f"[criterion 5] cut certificates: {n1} bridges, {n2} two-cuts and {n3} "
+        f"nontrivial three-cuts checked, {failures} failures, {mismatches} "
+        f"parent values unlike the exact ones"
     )
     assert failures == 0
+    assert mismatches == 0
+    assert min(n1, n2, n3) > 0
 
 
 def test_criterion6_structural_equivalences(simple_corpus_12, multi_corpus_8):

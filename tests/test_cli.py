@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,26 +141,65 @@ def test_reduce(capsys, corpus_file):
             assert cert["holds"]
 
 
-def test_reduce_time_limit(capsys, tmp_path):
+def _bridged_dodecahedra() -> Multigraph:
     # two dodecahedra, each with one edge subdivided, joined by a bridge
-    # between the new vertices: the bridge certificate solves all 42 vertices
+    # between the new vertices (n = 42)
     d = graphs.dodecahedron()
     (u, v), rest = d.edges[0], d.edges[1:]
     half = [(u, d.n), (d.n, v), *rest]
     shift = d.n + 1
     edges = half + [(a + shift, b + shift) for a, b in half] + [(d.n, d.n + shift)]
+    return Multigraph(2 * shift, tuple(edges))
+
+
+def _joined_dodecahedra() -> Multigraph:
+    # two dodecahedra, each less one vertex, joined by three edges between
+    # the vertices left with degree 2 (n = 38)
+    d = graphs.dodecahedron()
+    half = [e for e in d.edges if 0 not in e]
+    ends = sorted(u + v for u, v in d.edges if 0 in (u, v))
+    relabel = {x: i for i, x in enumerate(range(1, d.n))}
+    shift = d.n - 1
+    edges = [(relabel[a], relabel[b]) for a, b in half]
+    edges += [(a + shift, b + shift) for a, b in edges]
+    edges += [(relabel[x], relabel[x] + shift) for x in ends]
+    return Multigraph(2 * shift, tuple(edges))
+
+
+def _write(tmp_path, inputs) -> str:
     p = tmp_path / "graphs.s6"
-    inputs = [Multigraph(2 * shift, tuple(edges)), graphs.complete(4)]
     p.write_text("".join(io.serialize(g, "s6").decode() + "\n" for g in inputs))
+    return str(p)
+
+
+def test_reduce_time_limit(capsys, tmp_path):
+    # the nontrivial 3-cut's certificate solves the parent's fvs on all 38
+    # vertices
+    p = _write(tmp_path, [_joined_dodecahedra(), graphs.complete(4)])
     code, lines = _run(
         capsys,
-        ["reduce", "--input", str(p), "--certificates", "--time-limit-ms", "1"],
+        ["reduce", "--input", p, "--certificates", "--time-limit-ms", "1"],
     )
     assert code == 0
     *records, summary = lines
     assert summary["skipped"] == 1
     assert [r["status"] for r in records] == ["skipped", "ok"]
     assert records[1]["leaves"] == [{"n": 4, "m": 6, "label": "small"}]
+
+
+def test_reduce_bridged_dodecahedra(capsys, tmp_path):
+    # a bridge certificate solves only the two 21-vertex sides
+    p = _write(tmp_path, [_bridged_dodecahedra()])
+    t = time.monotonic()
+    code, lines = _run(capsys, ["reduce", "--input", p, "--certificates"])
+    assert time.monotonic() - t < 1.0
+    assert code == 0
+    record, summary = lines
+    assert summary == {"summary": True, "graphs": 1, "skipped": 0, "certificate_failures": 0}
+    assert record["decompositions"][0] == "bridge"
+    assert record["certificates"][0]["entries"][0] == {
+        "name": "fvs_union", "left": 12, "right": 12, "relation": "<=", "holds": True
+    }
 
 
 def test_verify_corpus_class(capsys):

@@ -1,6 +1,11 @@
+import random
+import time
+
 import pytest
 
-from jonescheck import graphs, reduction, solvers, structure
+import certificate_oracle
+import strip_oracle
+from jonescheck import graphs, harness, reduction, solvers, structure
 from jonescheck.canonical import are_isomorphic
 from jonescheck.multigraph import Multigraph
 
@@ -56,8 +61,11 @@ def test_delete_degree_le1():
     assert sorted(vmap) == [0, 1, 2]
 
 
+_BOWTIE = Multigraph(6, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)))
+
+
 def test_split_bridge_certificate():
-    bowtie = Multigraph(6, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)))
+    bowtie = _BOWTIE
     bridge = structure.find_first_cut(bowtie)
     d = reduction.split_bridge(bowtie, bridge.edges[0])
     assert set(d.parts) == {"G1", "G2"}
@@ -169,3 +177,117 @@ def test_certify_dispatch():
     cut = structure.find_first_cut(prism)
     d = reduction.decompose_3cut(prism, cut)
     assert reduction.certify(d).holds
+
+
+def _random_connected_multigraph(rng: random.Random) -> Multigraph:
+    # a random tree plus extra edges, loops and parallel edges
+    n = rng.randint(2, 9)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    edges += [rng.choice(edges) for _ in range(rng.randint(0, 2))]
+    return Multigraph(n, tuple(edges))
+
+
+def _decompositions(g: Multigraph):
+    """The decomposition of g along each of its bridges, minimal 2-cuts and
+    nontrivial minimal 3-cuts."""
+    for cut in structure.enumerate_cuts(g, 1):
+        yield reduction.split_bridge(g, cut.edges[0])
+    for cut in structure.enumerate_cuts(g, 2):
+        yield reduction.split_2cut(g, cut)
+    for cut in structure.enumerate_cuts(g, 3):
+        if not cut.trivial:
+            yield reduction.decompose_3cut(g, cut)
+
+
+def test_certificates_match_exact_oracle_random():
+    # parent values from lifted witnesses against the exact-parent oracle,
+    # on multigraphs with loops and parallel edges
+    rng = random.Random(1414)
+    kinds = {"bridge": 0, "cut2": 0, "cut3": 0}
+    for _ in range(300):
+        g = _random_connected_multigraph(rng)
+        for d in _decompositions(g):
+            assert reduction.certify(d) == certificate_oracle.certify(d), (g, d.cut)
+            kinds[d.kind] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def _virtual_cycle_packing(part: reduction.Part) -> solvers.CyclePacking:
+    (v,) = part.virtual_edges
+    cyc = next(c.edges for c in solvers.enumerate_cycles(part.graph) if v in c.edges)
+    return solvers.CyclePacking((cyc,), 1)
+
+
+def test_wrong_lifts_fail_verification():
+    # a bridge lift that drops the second side's set
+    d = reduction.split_bridge(_BOWTIE, structure.find_first_cut(_BOWTIE).edges[0])
+    sets = {"G1": solvers.fvs_exact(d.parts["G1"].graph), "G2": solvers.FeedbackSet((), 0)}
+    with pytest.raises(AssertionError):
+        reduction._lift_fvs(d, sets, "G1", "G2")
+    # a 2-cut lift without the virtual-edge side: fvs 3, and this union has 2
+    dd = _double_diamond()
+    d = reduction.split_2cut(dd, structure.find_first_cut(dd))
+    sets = {k: solvers.fvs_exact(d.parts[k].graph) for k in ("G1", "G2", "G1p")}
+    with pytest.raises(AssertionError):
+        reduction._lift_fvs(d, sets, "G1", "G2")
+    assert reduction._lift_fvs(d, sets, "G1p", "G2").size == 3
+    # a 3-cut merge through two different pairs of cut edges
+    prism = graphs.prism()
+    d = reduction.decompose_3cut(prism, structure.find_first_cut(prism))
+    packings = {k: _virtual_cycle_packing(d.parts[k]) for k in ("G1_AB", "G2_AB", "G2_AC")}
+    with pytest.raises(AssertionError):
+        reduction._lift_packing(d, packings, "G1_AB", "G2_AC")
+    assert reduction._lift_packing(d, packings, "G1_AB", "G2_AB").size == 1
+
+
+def test_decompositions_need_a_connected_parent():
+    # the other component would fall out of both parts
+    triangle = ((0, 1), (1, 2), (0, 2))
+
+    def plus_triangle(g: Multigraph) -> Multigraph:
+        return Multigraph(g.n + 3, g.edges + tuple((u + g.n, v + g.n) for u, v in triangle))
+
+    g = plus_triangle(_BOWTIE)
+    with pytest.raises(ValueError, match="connected"):
+        reduction.split_bridge(g, structure.enumerate_cuts(g, 1)[0].edges[0])
+    g = plus_triangle(graphs.cycle(6))
+    with pytest.raises(ValueError, match="connected"):
+        reduction.split_2cut(g, structure.enumerate_cuts(g, 2)[0])
+    g = plus_triangle(graphs.prism())
+    cut = next(c for c in structure.enumerate_cuts(g, 3) if not c.trivial)
+    with pytest.raises(ValueError, match="connected"):
+        reduction.decompose_3cut(g, cut)
+
+
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    # loops and parallel edges, often disconnected, long chains now and then
+    n = rng.randint(1, 12)
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < 1.5 / n]
+    edges += [rng.choice(edges) for _ in range(rng.randint(0, 2)) if edges]
+    return Multigraph(n, tuple(edges))
+
+
+def test_strip_matches_oracle(simple_corpus_12, multi_corpus_8):
+    # graphs and maps equal the round-by-round oracle's; every suppressible
+    # vertex is tried on the smaller graphs
+    rng = random.Random(707)
+    randoms = [_random_multigraph(rng) for _ in range(2000)]
+    for g in simple_corpus_12 + multi_corpus_8 + randoms:
+        assert reduction.delete_degree_le1(g) == strip_oracle.delete_degree_le1(g)
+        assert harness._strip_low_degree(g) == strip_oracle.strip_low_degree(g)
+    for g in [g for g in simple_corpus_12 if g.n <= 9] + multi_corpus_8 + randoms:
+        for v in range(g.n):
+            if g.degree(v) == 2 and not g.loops[v]:
+                assert reduction.suppress_degree2(g, v) == strip_oracle.suppress_degree2(g, v)
+
+
+def test_strip_long_pendant_path():
+    # peeling a 1,500-vertex path off a triangle is one pass, not one
+    # rebuild of the graph per vertex
+    n = 1503
+    g = Multigraph(n, ((0, 1), (1, 2), (0, 2)) + tuple((v, v + 1) for v in range(2, n - 1)))
+    t = time.monotonic()
+    h, changed = harness._strip_low_degree(g)
+    assert time.monotonic() - t < 0.1
+    assert changed and h == Multigraph(1, ((0, 0),))

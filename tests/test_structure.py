@@ -106,10 +106,22 @@ def _random_multigraph(rng: random.Random) -> Multigraph:
     return Multigraph(n, tuple(edges[:12]))
 
 
+_K4 = graphs.complete(4).edges
+
+# inputs for the rule that a minimal 3-cut is trivial when its edges meet at
+# a vertex w with deg(w) - 2 loops(w) = 3: a loop at the meeting vertex
+# (trivial), a vertex of degree 3 on three parallel edges (trivial), and two
+# K4s joined by three parallel edges (nontrivial, though the edges meet)
+_TRIVIALITY_CASES = (
+    Multigraph(4, _K4 + ((3, 3),)),
+    Multigraph(5, ((3, 4),) * 3 + _K4),
+    Multigraph(8, ((3, 4),) * 3 + _K4 + tuple((u + 4, v + 4) for u, v in _K4)),
+)
+
+
 def test_small_cuts_match_oracle_random():
     rng = random.Random(20111)
-    for _ in range(2000):
-        g = _random_multigraph(rng)
+    for g in _TRIVIALITY_CASES + tuple(_random_multigraph(rng) for _ in range(2000)):
         expected = cut_oracle.small_cuts(g)
         for k in (1, 2, 3):
             want = [c for c in expected if len(c.edges) == k]
@@ -118,6 +130,15 @@ def test_small_cuts_match_oracle_random():
             (c for c in expected if len(c.edges) < 3 or not c.trivial), None
         )
         assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
+
+
+def test_find_first_cut_corpora(simple_corpus_12, multi_corpus_8):
+    # the first hit of the full cut list, which the tests above check
+    # against the oracle
+    for g in simple_corpus_12 + multi_corpus_8:
+        assert structure.find_first_cut(g) == next(
+            (c for c in structure._small_cuts(g) if len(c.edges) < 3 or not c.trivial), None
+        )
 
 
 def test_find_first_cut_matches_enumeration():
