@@ -215,9 +215,9 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     spec = _corpus_spec(args)
-    with _output(args.out or args.output) as out:
+    with _output(args.out) as out:
         for g in harness.generate_corpus(spec):
-            out.write(io.serialize(g, "sparse6").decode() + "\n")
+            out.write(io.serialize(g, "s6").decode() + "\n")
     return 0
 
 
@@ -296,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True, choices=harness.CORPUS_CLASSES)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--output", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_generate, output=None)
+    p.set_defaults(fn=cmd_generate)
 
     return ap
 

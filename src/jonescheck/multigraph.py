@@ -143,10 +143,6 @@ class Multigraph:
                 seen.add((u, v))
         return Multigraph(self.n, tuple(sorted(seen)))
 
-    def multiplicity(self, u: int, v: int) -> int:
-        a, b = (u, v) if u <= v else (v, u)
-        return sum(1 for e in self.edges if e == (a, b))
-
 
 class EditResult(NamedTuple):
     """Graph produced by an editing operation plus index maps to the parent.
@@ -206,12 +202,6 @@ def add_edge(g: Multigraph, u: int, v: int) -> Multigraph:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"endpoint out of range for n={g.n}")
     return Multigraph(g.n, g.edges + ((u, v),))
-
-
-def add_isolated_vertices(g: Multigraph, k: int) -> Multigraph:
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return Multigraph(g.n + k, g.edges)
 
 
 def contract_side_to_vertex(g: Multigraph, keep: Iterable[int]) -> EditResult:

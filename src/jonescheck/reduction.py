@@ -76,7 +76,7 @@ class Decomposition:
     cut: tuple[int, ...]  # parent edge ids, () for low_degree
     parts: dict[str, Part]
     boundary: dict[str, tuple[int, int, int]] = field(default_factory=dict)
-    # boundary: cut label -> (parent edge id, endpoint on side 1, endpoint on side 2)
+    # boundary (3-cuts only): cut label -> (parent edge, end on side 1, end on side 2)
 
 
 @dataclass(frozen=True)
@@ -357,8 +357,7 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
         "G1p": _with_virtual_edge(p1, idx1[u1], idx1[v1], (e1, e2)),
         "G2p": _with_virtual_edge(p2, idx2[u2], idx2[v2], (e1, e2)),
     }
-    boundary = {"A": (e1, u1, u2), "B": (e2, v1, v2)}
-    return Decomposition("cut2", g, (e1, e2), parts, boundary)
+    return Decomposition("cut2", g, (e1, e2), parts)
 
 
 def check_cut2_certificate(
@@ -369,10 +368,8 @@ def check_cut2_certificate(
     # the union that includes the virtual-edge side; the merge when both gain
     sides = ("G1p", "G2") if f["G1p"] + f["G2"] <= f["G1"] + f["G2p"] else ("G1", "G2p")
     f["G"] = _lift_fvs(d, fw, *sides).size
-    if c["G1p"] + c["G2p"] - 1 > c["G1"] + c["G2"]:
-        c["G"] = combine_packings_2cut(d, cw["G1p"], cw["G2p"]).size
-    else:
-        c["G"] = _lift_packing(d, cw, "G1", "G2").size
+    sides = ("G1p", "G2p") if c["G1p"] + c["G2p"] - 1 > c["G1"] + c["G2"] else ("G1", "G2")
+    c["G"] = _lift_packing(d, cw, *sides).size
     return _cut2_certificate(f, c)
 
 
@@ -389,22 +386,6 @@ def _cut2_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
         _entry("cp_union", cp_g, ">=", c["G1"] + c["G2"]),
     ]
     return Certificate(tuple(entries))
-
-
-def combine_packings_2cut(
-    d: Decomposition, p1: CyclePacking, p2: CyclePacking
-) -> CyclePacking:
-    """Combine packings of G1' and G2' into one of the parent.
-
-    The two virtual-edge cycles, when both present, merge into a single
-    parent cycle through both cut edges (size p1 + p2 - 1); otherwise only
-    the cycles avoiding the virtual edges transfer.
-    """
-    if d.kind != "cut2":
-        raise ValueError("decomposition is not a 2-cut")
-    p1.verify(d.parts["G1p"].graph)
-    p2.verify(d.parts["G2p"].graph)
-    return _lift_packing(d, {"G1p": p1, "G2p": p2}, "G1p", "G2p")
 
 
 # -- nontrivial 3-edge-cuts ------------------------------------------------

@@ -43,6 +43,8 @@ class FeedbackSet:
     def verify(self, g: Multigraph) -> None:
         if not delete_vertices(g, self.vertices).graph.is_forest():
             raise AssertionError("feedback set does not leave a forest")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise AssertionError("feedback set repeats a vertex")
         if self.size != len(self.vertices):
             raise AssertionError("feedback set size mismatch")
 

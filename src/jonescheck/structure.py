@@ -236,13 +236,6 @@ def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
     return _cut_flags(g, _small_cuts(g))
 
 
-def enumerate_cuts(g: Multigraph, k: int) -> list[EdgeCut]:
-    """All minimal edge cuts of size exactly k (k in 1..3), sorted by edge ids."""
-    if k not in (1, 2, 3):
-        raise ValueError("cut size must be 1, 2 or 3")
-    return [c for c in _small_cuts(g) if len(c.edges) == k]
-
-
 def find_first_cut(g: Multigraph) -> EdgeCut | None:
     """The first bridge, else the first minimal 2-edge cut, else the first
     nontrivial minimal 3-edge cut, each in edge-id order; None if there is

@@ -105,16 +105,17 @@ def test_criterion5_cut_certificates(simple_corpus_12, solved):
         if not g.is_connected():
             continue
         certs = []
-        bridges = structure.enumerate_cuts(g, 1)
+        cuts = list(structure._small_cuts(g))
+        bridges = [c for c in cuts if len(c.edges) == 1]
         for cut in bridges:
             d = reduction.split_bridge(g, cut.edges[0])
             certs.append(reduction.check_bridge_certificate(d))
             n1 += 1
         if not bridges:  # the 2-cut certificate presumes a bridgeless graph
-            for cut in structure.enumerate_cuts(g, 2):
+            for cut in (c for c in cuts if len(c.edges) == 2):
                 certs.append(reduction.check_cut2_certificate(reduction.split_2cut(g, cut)))
                 n2 += 1
-            for cut in structure.enumerate_cuts(g, 3):
+            for cut in (c for c in cuts if len(c.edges) == 3):
                 if not cut.trivial:
                     d = reduction.decompose_3cut(g, cut)
                     certs.append(reduction.check_cut3_certificate(d))
@@ -220,7 +221,8 @@ def test_criterion9_pipeline_leaf_contract(simple_corpus_12, multi_corpus_8):
                 elif d.kind == "cut2":
                     p1 = solvers.cp_exact(d.parts["G1p"].graph)
                     p2 = solvers.cp_exact(d.parts["G2p"].graph)
-                    reduction.combine_packings_2cut(d, p1, p2).verify(d.parent)
+                    packings = {"G1p": p1, "G2p": p2}
+                    reduction._lift_packing(d, packings, "G1p", "G2p").verify(d.parent)
                     nlift += 1
             except AssertionError:
                 bad_lifts += 1

@@ -318,6 +318,18 @@ def test_generate(capsys, tmp_path):
     assert [(g.n, g.m) for g in gs] == [(4, 6), (6, 9)]
 
 
+def test_generate_output_is_usage_error(capsys, tmp_path):
+    # the output file option of generate is --out only
+    argv = ["generate", "--class", "cubic-planar-simple", "--max-n", "6"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--output", str(tmp_path / "c.s6")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --output" in captured.err
+    assert not (tmp_path / "c.s6").exists()
+
+
 def test_output_file(tmp_path, corpus_file):
     out = tmp_path / "report.jsonl"
     code = cli.main(["solve", "--input", corpus_file, "--output", str(out)])

@@ -100,7 +100,7 @@ def test_combine_packings_2cut():
     d = reduction.split_2cut(dd, cut)
     p1 = solvers.cp_exact(d.parts["G1p"].graph)
     p2 = solvers.cp_exact(d.parts["G2p"].graph)
-    comb = reduction.combine_packings_2cut(d, p1, p2)
+    comb = reduction._lift_packing(d, {"G1p": p1, "G2p": p2}, "G1p", "G2p")
     comb.verify(dd)
     assert comb.size >= p1.size + p2.size - 1
 
@@ -191,12 +191,12 @@ def _random_connected_multigraph(rng: random.Random) -> Multigraph:
 def _decompositions(g: Multigraph):
     """The decomposition of g along each of its bridges, minimal 2-cuts and
     nontrivial minimal 3-cuts."""
-    for cut in structure.enumerate_cuts(g, 1):
-        yield reduction.split_bridge(g, cut.edges[0])
-    for cut in structure.enumerate_cuts(g, 2):
-        yield reduction.split_2cut(g, cut)
-    for cut in structure.enumerate_cuts(g, 3):
-        if not cut.trivial:
+    for cut in structure._small_cuts(g):  # sorted by size
+        if len(cut.edges) == 1:
+            yield reduction.split_bridge(g, cut.edges[0])
+        elif len(cut.edges) == 2:
+            yield reduction.split_2cut(g, cut)
+        elif not cut.trivial:
             yield reduction.decompose_3cut(g, cut)
 
 
@@ -250,12 +250,12 @@ def test_decompositions_need_a_connected_parent():
 
     g = plus_triangle(_BOWTIE)
     with pytest.raises(ValueError, match="connected"):
-        reduction.split_bridge(g, structure.enumerate_cuts(g, 1)[0].edges[0])
+        reduction.split_bridge(g, next(structure._small_cuts(g)).edges[0])
     g = plus_triangle(graphs.cycle(6))
     with pytest.raises(ValueError, match="connected"):
-        reduction.split_2cut(g, structure.enumerate_cuts(g, 2)[0])
+        reduction.split_2cut(g, next(structure._small_cuts(g)))
     g = plus_triangle(graphs.prism())
-    cut = next(c for c in structure.enumerate_cuts(g, 3) if not c.trivial)
+    cut = next(c for c in structure._small_cuts(g) if len(c.edges) == 3 and not c.trivial)
     with pytest.raises(ValueError, match="connected"):
         reduction.decompose_3cut(g, cut)
 

@@ -156,6 +156,9 @@ def test_witness_verification():
     bad = solvers.FeedbackSet(vertices=(0,), size=1)
     with pytest.raises(AssertionError):
         bad.verify(g)
+    # (0, 0) leaves K3 a forest, but its size 2 would overstate the set by one
+    with pytest.raises(AssertionError, match="repeats"):
+        solvers.FeedbackSet((0, 0), 2).verify(graphs.complete(3))
 
 
 def test_cp_witness_disjoint():

@@ -55,7 +55,7 @@ def test_vertex_connectivity_matches_networkx():
 
 
 def test_enumerate_cuts_cycle():
-    cuts = structure.enumerate_cuts(graphs.cycle(4), 2)
+    cuts = [c for c in structure._small_cuts(graphs.cycle(4)) if len(c.edges) == 2]
     # a 4-cycle has no bridges; every pair of edges is a minimal 2-cut
     assert all(len(c.edges) == 2 for c in cuts)
     assert len(cuts) == 6
@@ -64,7 +64,7 @@ def test_enumerate_cuts_cycle():
 
 def test_prism_rung_cut():
     prism = graphs.prism()
-    cuts3 = [c for c in structure.enumerate_cuts(prism, 3) if not c.trivial]
+    cuts3 = [c for c in structure._small_cuts(prism) if len(c.edges) == 3 and not c.trivial]
     assert len(cuts3) == 1
     assert sorted(cuts3[0].edges) == [6, 7, 8]
     assert cuts3[0].cyclic  # both sides are triangles
@@ -123,9 +123,10 @@ def test_small_cuts_match_oracle_random():
     rng = random.Random(20111)
     for g in _TRIVIALITY_CASES + tuple(_random_multigraph(rng) for _ in range(2000)):
         expected = cut_oracle.small_cuts(g)
+        cuts = list(structure._small_cuts(g))
         for k in (1, 2, 3):
             want = [c for c in expected if len(c.edges) == k]
-            assert structure.enumerate_cuts(g, k) == want
+            assert [c for c in cuts if len(c.edges) == k] == want
         assert structure.find_first_cut(g) == next(
             (c for c in expected if len(c.edges) < 3 or not c.trivial), None
         )
@@ -144,10 +145,11 @@ def test_find_first_cut_corpora(simple_corpus_12, multi_corpus_8):
 def test_find_first_cut_matches_enumeration():
     # the first bridge, else the first 2-cut, else the first nontrivial 3-cut
     for g in (graphs.prism(), graphs.cycle(5), graphs.path(4), graphs.cube(), graphs.complete(4)):
+        small = list(structure._small_cuts(g))
         cuts = [
-            *structure.enumerate_cuts(g, 1),
-            *structure.enumerate_cuts(g, 2),
-            *(c for c in structure.enumerate_cuts(g, 3) if not c.trivial),
+            *(c for c in small if len(c.edges) == 1),
+            *(c for c in small if len(c.edges) == 2),
+            *(c for c in small if len(c.edges) == 3 and not c.trivial),
         ]
         assert structure.find_first_cut(g) == next(iter(cuts), None)
 
