@@ -258,9 +258,3 @@ def canonical_form(
         else:
             out.extend(row)
     return bytes(out)
-
-
-def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)

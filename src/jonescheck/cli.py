@@ -87,7 +87,7 @@ def _solve_one(idx, g, limit):
 
 def _cuts_one(idx, g, limit):
     found = list(structure._small_cuts(g))
-    ess4, cyc4 = structure._cut_flags(g, found)
+    ess4, cyc4 = structure.small_cut_flags(g)
     rec = {
         "index": idx,
         "graph_id": harness.graph_digest(g),
@@ -121,7 +121,7 @@ def _reduce_one(certificates, idx, g, limit):
 
 def _verify_one(idx, g, limit):
     res = harness.run_checks(g, limit)
-    rec = {**json.loads(res.to_json()), "index": idx}
+    rec = {**res.to_dict(), "index": idx}
     violations = res.conjecture_violations()
     if violations:
         rec["status"] = "CONJECTURE-VIOLATION"

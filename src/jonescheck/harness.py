@@ -241,20 +241,20 @@ class VerificationRecord:
     def conjecture_violations(self) -> list[str]:
         return [k for k, ok in self.checks.items() if not ok and k in CONJECTURE_CHECKS]
 
+    def to_dict(self) -> dict:
+        return {
+            "graph_id": self.graph_id,
+            "n": self.n,
+            "m": self.m,
+            "flags": self.flags,
+            "values": self.values,
+            "checks": self.checks,
+            "wall_time": {k: round(v, 6) for k, v in self.wall_time.items()},
+            "skipped": list(self.skipped),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "graph_id": self.graph_id,
-                "n": self.n,
-                "m": self.m,
-                "flags": self.flags,
-                "values": self.values,
-                "checks": self.checks,
-                "wall_time": {k: round(v, 6) for k, v in self.wall_time.items()},
-                "skipped": list(self.skipped),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def run_checks(g: Multigraph, time_limit_s: float | None = 60.0) -> VerificationRecord:

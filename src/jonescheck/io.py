@@ -143,25 +143,30 @@ def parse_sparse6(data: bytes | str) -> Multigraph:
     n, rest = _decode_size(raw)
     if n == 0:
         return Multigraph(0)
+    if rest and not (63 <= min(rest) and max(rest) <= 126):
+        raise FormatError("byte out of graph6 range")
     k = max(1, (n - 1).bit_length())
-    bits = _bits_of(rest)
+    mask = (1 << k) - 1
+    # each field is one bit b and k bits x; `buf` holds the `have` bits of
+    # the body read but not yet taken, at most k + 6
     edges = []
-    v = 0
-    i = 0
-    while i + k < len(bits):
-        b = bits[i]
-        x = 0
-        for t in bits[i + 1 : i + 1 + k]:
-            x = (x << 1) | t
-        i += k + 1
-        if b:
-            v += 1
-        if v >= n or x >= n:
-            break
-        if x > v:
-            v = x
-        else:
-            edges.append((x, v))
+    v = buf = have = 0
+    for byte in rest:
+        buf = (buf << 6) | (byte - 63)
+        have += 6
+        while have > k:
+            have -= k + 1
+            field = buf >> have
+            buf &= (1 << have) - 1
+            if field >> k:
+                v += 1
+            x = field & mask
+            if v >= n or x >= n:
+                return Multigraph(n, tuple(edges))
+            if x > v:
+                v = x
+            else:
+                edges.append((x, v))
     return Multigraph(n, tuple(edges))
 
 

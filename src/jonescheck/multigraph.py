@@ -129,11 +129,17 @@ class Multigraph:
         return self.n <= 1 or self.component_count() == 1
 
     def is_forest(self) -> bool:
-        # A loop or a parallel pair is a cycle; otherwise compare edge count
-        # against n - #components.
-        if not self.is_simple():
-            return False
-        return self.m == self.n - self.component_count()
+        """One union-find pass; a loop or a repeated pair closes a cycle."""
+        parent = list(range(self.n))
+        for u, v in self.edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                return False
+            parent[u] = v
+        return True
 
     def underlying_simple(self) -> "Multigraph":
         """Simple graph on the same vertices: loops dropped, parallels merged."""

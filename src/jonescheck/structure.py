@@ -2,9 +2,11 @@
 
 Minimal edge cuts with at most 3 edges all come from one engine:
 cycle-space signatures over a spanning forest turn the cut test into XORs
-of edge signatures, so every such cut is read off in O(m^2).  `_small_cuts`
-adds one traversal per cut for its sides; `find_first_cut` stops at its
-first hit and traces that cut alone.  Planarity is decided on the
+of edge signatures, so every such cut is read off in O(m^2).
+`small_cut_flags` reads each cut's side sizes in O(1) from subtree
+intervals of the forest and traces no side; `_small_cuts` adds one
+traversal per cut for its sides, and `find_first_cut` stops at its first
+hit and traces that cut alone.  Planarity is decided on the
 underlying simple graph (loops and parallel edges never affect planarity).
 A graph whose 2-core has fewer than 5 vertices of degree >= 4 and fewer
 than 6 of degree >= 3 holds no Kuratowski subdivision and is planar; any
@@ -98,14 +100,16 @@ def vertex_connectivity(g: Multigraph) -> int:
 # -- small edge cuts -------------------------------------------------------
 
 
-def _signatures(g: Multigraph) -> tuple[list[int], list[int]]:
-    """The root of each vertex's tree in a spanning forest, and the
-    cycle-space signature of each edge (Pritchard & Thurimella, ACM TALG
-    7(4), 2011): each non-tree edge owns one bit, and a tree edge carries
-    the XOR of the non-tree edges whose fundamental cycles use it.  A set of
-    non-loop edges is a cut exactly when its signatures XOR to 0, and a
-    minimal one when no proper subset's do.  One bit per non-tree edge
-    makes the test exact.  Loops lie in no cut and get no signature."""
+def _signatures(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The root of each vertex's tree in a spanning forest, the cycle-space
+    signature of each edge (Pritchard & Thurimella, ACM TALG 7(4), 2011),
+    the forest's traversal order, in which each subtree is a contiguous run,
+    and each vertex's parent edge (-1 at a root).  Each non-tree edge owns
+    one bit, and a tree edge carries the XOR of the non-tree edges whose
+    fundamental cycles use it.  A set of non-loop edges is a cut exactly
+    when its signatures XOR to 0, and a minimal one when no proper subset's
+    do.  One bit per non-tree edge makes the test exact.  Loops lie in no
+    cut and get no signature."""
     adj = g.adjacency
     root = [-1] * g.n
     parent_edge = [-1] * g.n
@@ -139,7 +143,7 @@ def _signatures(g: Multigraph) -> tuple[list[int], list[int]]:
             sig[eid] = acc[x]
             u, v = g.edges[eid]
             acc[u + v - x] ^= acc[x]
-    return root, sig
+    return root, sig, order, parent_edge
 
 
 def _side_tracer(g: Multigraph, root: list[int]) -> Callable[[tuple[int, ...]], EdgeCut]:
@@ -204,25 +208,10 @@ def _cut_edge_sets(g: Multigraph, sig: list[int]) -> Iterator[tuple[int, ...]]:
 def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
     """Every minimal edge cut with 1-3 edges, sorted by (size, edge ids),
     each with its sides."""
-    root, sig = _signatures(g)
+    root, sig, _, _ = _signatures(g)
     trace = _side_tracer(g, root)
     for edges in _cut_edge_sets(g, sig):
         yield trace(edges)
-
-
-def _cut_flags(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
-    """`small_cut_flags` of g, given the cuts of `_small_cuts(g)`."""
-    labels = g._component_labels
-    sizes = Counter(labels)
-    edges = Counter(labels[u] for u, _ in g.edges)
-    essential = sum(size >= 2 for size in sizes.values()) <= 1
-    cyclic = sum(edges[c] >= size for c, size in sizes.items()) <= 1
-    for cut in cuts:
-        if not (essential or cyclic):
-            break
-        essential = essential and cut.trivial
-        cyclic = cyclic and not cut.cyclic
-    return essential, cyclic
 
 
 def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
@@ -232,8 +221,51 @@ def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
     components with >= 2 vertices each.  cyclically_4ec: no such removal
     leaves two components that each contain a cycle; vacuously true when no
     two vertex-disjoint cycles exist at all.
+
+    No side is traced.  A vertex lies across a minimal cut from its root
+    exactly when it lies in an odd number of the subtrees below the cut's
+    tree edges.  Each subtree is an interval of the traversal order, and
+    the points covered an odd number of times by a few intervals run from
+    the 1st to the 2nd of their sorted ends, from the 3rd to the 4th, and so
+    on.  So that side's vertex count and degree sum come in O(1) per cut,
+    and its inner edges, loops included, number (degree sum - cut size) / 2.
+    A side holds a cycle exactly when its edges number at least its vertices.
     """
-    return _cut_flags(g, _small_cuts(g))
+    root, sig, order, parent_edge = _signatures(g)
+    deg, ends = g.degrees(), g.edges
+    pos = [0] * g.n
+    degsum = [0]  # degree sum of order[:i]
+    for i, v in enumerate(order):
+        pos[v] = i
+        degsum.append(degsum[-1] + deg[v])
+    size = [1] * g.n  # vertices in each subtree
+    span = [()] * g.m  # the interval of order below each tree edge
+    for x in reversed(order):
+        eid = parent_edge[x]
+        if eid != -1:
+            span[eid] = (pos[x], pos[x] + size[x])
+            u, v = ends[eid]
+            size[u + v - x] += size[x]
+    # (vertices, edges) of each component: its root's subtree
+    comp = {r: (size[r], (degsum[pos[r] + size[r]] - degsum[pos[r]]) // 2)
+            for r in order if root[r] == r}
+    essential = sum(nv >= 2 for nv, _ in comp.values()) <= 1
+    cyclic = sum(ne >= nv for nv, ne in comp.values()) <= 1
+    # both sides of a k-cut hold a cycle only if their component has at
+    # least k more edges than vertices, and cuts come by size
+    slack = max((ne - nv for nv, ne in comp.values()), default=0)
+    for cut in _cut_edge_sets(g, sig):
+        k = len(cut)
+        if not essential and (not cyclic or k > slack):
+            break
+        bounds = sorted([p for e in cut for p in span[e]])
+        hi, lo = bounds[1::2], bounds[::2]
+        nv = sum(hi) - sum(lo)
+        inner = (sum([degsum[p] for p in hi]) - sum([degsum[p] for p in lo]) - k) // 2
+        comp_v, comp_e = comp[root[ends[cut[0]][0]]]
+        essential = essential and min(nv, comp_v - nv) <= 1
+        cyclic = cyclic and not (inner >= nv and comp_e - k - inner >= comp_v - nv)
+    return essential, cyclic
 
 
 def find_first_cut(g: Multigraph) -> EdgeCut | None:
@@ -243,7 +275,7 @@ def find_first_cut(g: Multigraph) -> EdgeCut | None:
     trivial exactly when its edges meet at a vertex w whose only non-loop
     edges they are: deg(w) - 2 loops(w) = 3.
     """
-    root, sig = _signatures(g)
+    root, sig, _, _ = _signatures(g)
     deg, loops, ends = g.degrees(), g.loops, g.edges
     for cut in _cut_edge_sets(g, sig):
         if len(cut) < 3 or not any(

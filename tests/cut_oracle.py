@@ -1,13 +1,17 @@
 """Exhaustive reference for small edge cuts, used to cross-check the
 cycle-space engine in `jonescheck.structure`.
 
-Every routine here removes edge subsets and recomputes components with a
-union-find, so it is slow but follows the definitions word for word.
+Every routine here but `flags_of_cuts` removes edge subsets and recomputes
+components with a union-find, so it is slow but follows the definitions
+word for word.  `flags_of_cuts` is the earlier flags routine, which traces
+the sides of every cut.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from typing import Iterable
 
 from jonescheck.multigraph import Multigraph
 from jonescheck.structure import EdgeCut
@@ -88,4 +92,20 @@ def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
                 cyclic = False
             if not (essential or cyclic):
                 return essential, cyclic
+    return essential, cyclic
+
+
+def flags_of_cuts(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
+    """`small_cut_flags` of g, read off the traced sides of the cuts of
+    `jonescheck.structure._small_cuts(g)`."""
+    labels = g._component_labels
+    sizes = Counter(labels)
+    edges = Counter(labels[u] for u, _ in g.edges)
+    essential = sum(size >= 2 for size in sizes.values()) <= 1
+    cyclic = sum(edges[c] >= size for c, size in sizes.items()) <= 1
+    for cut in cuts:
+        if not (essential or cyclic):
+            break
+        essential = essential and cut.trivial
+        cyclic = cyclic and not cut.cyclic
     return essential, cyclic

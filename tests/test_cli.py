@@ -88,6 +88,17 @@ def test_solve_long_cycle(capsys, tmp_path):
     assert lines[0]["fvs"]["size"] == lines[0]["cp"]["size"] == 1
 
 
+def test_verify_long_cycle(capsys, tmp_path):
+    # C_1500 has 1,124,250 minimal 2-cuts; the small-cut flags trace none
+    # of their sides
+    p = tmp_path / "cycle.txt"
+    p.write_bytes(io.serialize(graphs.cycle(1500), "edges"))
+    code, lines = _run(capsys, ["verify", "--input", str(p), "--format", "edges"])
+    assert code == 0
+    assert lines[0]["n"] == 1500 and lines[0]["values"] == {"fvs": 1, "cp": 1}
+    assert lines[0]["flags"]["cyclically_4ec"] and not lines[0]["flags"]["essentially_4ec"]
+
+
 def test_verify_never_imports_networkx(tmp_path):
     # K4 and the cube take the face-packing route, K3,3 and the Petersen
     # graph the non-planar one; a fresh interpreter sees every import

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+import sparse6_oracle
+from isomorphism import are_isomorphic
 from jonescheck import graphs, io
-from jonescheck.canonical import are_isomorphic, canonical_form
+from jonescheck.canonical import canonical_form
 from jonescheck.multigraph import Multigraph
 
 
@@ -82,6 +86,55 @@ def test_sparse6_padding_edge_case():
         assert canonical_form(back) == canonical_form(g)
         h = nx.from_sparse6_bytes(data)
         assert h.number_of_edges() == g.m
+
+
+# k = 1, 1, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 9, 10; n <= 62 has a one-byte
+# size field, n >= 63 a four-byte one
+_SPARSE6_SIZES = (1, 2, 3, 5, 9, 17, 62, 63, 64, 100, 255, 256, 300, 1000)
+
+
+def test_sparse6_decoder_matches_reference():
+    rng = random.Random(606)
+    for n in _SPARSE6_SIZES:
+        for _ in range(20):
+            edges = []
+            for _ in range(rng.randint(0, 3 * n)):
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.1 else rng.randrange(n)
+                edges.extend([(u, v)] * rng.choice((1, 1, 1, 2, 3)))
+            g = Multigraph(n, tuple(edges))
+            data = io.serialize_sparse6(g)
+            assert io.parse_sparse6(data) == sparse6_oracle.parse_sparse6(data)
+            # arbitrary bodies reach the stops at v >= n and x >= n
+            body = bytes(rng.randint(63, 126) for _ in range(rng.randint(0, 40)))
+            data = b":" + data[1 : 2 if n <= 62 else 5] + body
+            assert io.parse_sparse6(data) == sparse6_oracle.parse_sparse6(data)
+
+
+def test_sparse6_decoder_errors_match_reference():
+    good = io.serialize_sparse6(graphs.dodecahedron())
+    big = io.serialize_sparse6(graphs.cycle(300))
+    cases = [
+        b"",
+        b"Bw",
+        b":",
+        b":~",
+        b":~?",
+        b":~~??",
+        big[:3],
+        big[:5].replace(b"?", b"\x19"),
+        good[:4] + b"\x19" + good[5:],
+        good + b"\x7f",
+        b":D~!",  # a bad byte after the field that stops the decode
+        b":\x3e",
+        ":S\u00e9".encode(),
+    ]
+    for data in cases:
+        with pytest.raises(ValueError) as got:
+            io.parse_sparse6(data)
+        with pytest.raises(ValueError) as want:
+            sparse6_oracle.parse_sparse6(data)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), data
 
 
 def test_edge_list_format():

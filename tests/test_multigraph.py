@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jonescheck import graphs
@@ -55,6 +57,22 @@ def test_is_forest():
     assert not Multigraph(2, ((0, 1), (0, 1))).is_forest()  # parallel pair
 
 
+def test_is_forest_matches_component_count():
+    # the union-find pass against the definition by components; the
+    # brute-force fvs oracle calls is_forest, so this keeps it independent
+    rng = random.Random(4242)
+    for _ in range(2000):
+        n = rng.randint(0, 9)
+        edges: list[tuple[int, int]] = []
+        for _ in range(rng.randint(0, 10) if n else 0):
+            u = rng.randrange(n)
+            r = rng.random()
+            v = u if r < 0.1 else rng.randrange(n)
+            edges.extend([(u, v)] * (3 if r > 0.95 else 2 if r > 0.85 else 1))
+        g = Multigraph(n, tuple(edges))
+        assert g.is_forest() == (g.is_simple() and g.m == g.n - g.component_count()), g
+
+
 def test_underlying_simple():
     g = Multigraph(3, ((0, 1), (0, 1), (1, 1), (1, 2)))
     s = g.underlying_simple()
@@ -90,7 +108,7 @@ def test_add_edge_and_isolated():
 
 def test_contract_side_to_vertex():
     # prism: contract one triangle side onto a new vertex -> K4
-    from jonescheck.canonical import are_isomorphic
+    from isomorphism import are_isomorphic
 
     prism = graphs.prism()
     res = contract_side_to_vertex(prism, keep=(0, 1, 2))

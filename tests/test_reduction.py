@@ -5,8 +5,8 @@ import pytest
 
 import certificate_oracle
 import strip_oracle
+from isomorphism import are_isomorphic
 from jonescheck import graphs, harness, reduction, solvers, structure
-from jonescheck.canonical import are_isomorphic
 from jonescheck.multigraph import Multigraph
 
 

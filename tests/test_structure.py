@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import networkx as nx
@@ -131,6 +132,24 @@ def test_small_cuts_match_oracle_random():
             (c for c in expected if len(c.edges) < 3 or not c.trivial), None
         )
         assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
+
+
+def test_flags_match_traced_sides_corpora(simple_corpus_12, multi_corpus_8):
+    # the O(1)-per-cut flags against the earlier routine that traces the
+    # sides of every cut
+    for g in simple_corpus_12 + multi_corpus_8:
+        want = cut_oracle.flags_of_cuts(g, structure._small_cuts(g))
+        assert structure.small_cut_flags(g) == want, g
+
+
+def test_flags_long_cycle():
+    # C_400 has 79,800 minimal 2-cuts; two loops at one vertex make each of
+    # them a candidate for a cut with a cycle on both sides
+    c400 = graphs.cycle(400)
+    for g in (c400, Multigraph(400, c400.edges + ((0, 0), (0, 0)))):
+        t0 = time.perf_counter()
+        assert structure.small_cut_flags(g) == (False, True)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_find_first_cut_corpora(simple_corpus_12, multi_corpus_8):
