@@ -6,6 +6,7 @@ graph before returning.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -262,71 +263,83 @@ def enumerate_cycles(
 
 
 class _Work:
-    """Mutable multigraph on original vertex labels for the FVS search."""
+    """Mutable multigraph on the original vertex labels for the FVS search.
 
-    __slots__ = ("adj", "nloops")
+    `adj[v]` maps each neighbour of v to the number of edges between them
+    (None once v is removed), `loops[v]` counts loops and `deg[v]` is the
+    degree, a loop twice.  `remove` and the bypass of `_reduce` keep `deg`,
+    `m` (edges left, a loop once) and `n` (vertices left) current.
+    """
+
+    __slots__ = ("adj", "deg", "loops", "m", "n")
 
     def __init__(self, g: Multigraph | None = None):
-        self.adj: dict[int, dict[int, int]] = {}
-        self.nloops: dict[int, int] = {}
-        if g is not None:
-            self.adj = {v: {} for v in range(g.n)}
-            self.nloops = {v: 0 for v in range(g.n)}
-            for u, v in g.edges:
-                if u == v:
-                    self.nloops[u] += 1
-                else:
-                    self.adj[u][v] = self.adj[u].get(v, 0) + 1
-                    self.adj[v][u] = self.adj[v].get(u, 0) + 1
+        if g is None:
+            return
+        self.adj: list[dict[int, int] | None] = [{} for _ in range(g.n)]
+        self.loops = [0] * g.n
+        self.deg = [0] * g.n
+        for u, v in g.edges:
+            if u == v:
+                self.loops[u] += 1
+            else:
+                self.adj[u][v] = self.adj[u].get(v, 0) + 1
+                self.adj[v][u] = self.adj[v].get(u, 0) + 1
+            self.deg[u] += 1
+            self.deg[v] += 1
+        self.m, self.n = g.m, g.n
 
     def copy(self) -> "_Work":
         w = _Work()
-        w.adj = {v: dict(d) for v, d in self.adj.items()}
-        w.nloops = dict(self.nloops)
+        w.adj = [None if a is None else dict(a) for a in self.adj]
+        w.deg = list(self.deg)
+        w.loops = list(self.loops)
+        w.m, w.n = self.m, self.n
         return w
 
-    def degree(self, v: int) -> int:
-        return sum(self.adj[v].values()) + 2 * self.nloops[v]
-
     def remove(self, v: int) -> None:
-        for u in self.adj[v]:
-            del self.adj[u][v]
-        del self.adj[v]
-        del self.nloops[v]
+        adj, deg = self.adj, self.deg
+        for u, k in adj[v].items():
+            del adj[u][v]
+            deg[u] -= k
+        self.m -= deg[v] - self.loops[v]
+        self.n -= 1
+        adj[v] = None
+        deg[v] = self.loops[v] = 0
 
-    def has_edges(self) -> bool:
-        return any(self.adj[v] or self.nloops[v] for v in self.adj)
 
-
-def _reduce(work: _Work, kept: set[int], chosen: list[int]) -> bool:
-    """Apply loop/degree-1/degree-2 reductions to a fixpoint.
+def _reduce(work: _Work, kept: frozenset[int], chosen: list[int]) -> bool:
+    """Apply loop/degree-1/degree-2 reductions to a fixpoint, in sweeps by
+    ascending label.
 
     Returns False if some kept vertex is forced into the feedback set.
     """
+    adj, deg, loops = work.adj, work.deg, work.loops
     changed = True
     while changed:
         changed = False
-        for v in list(work.adj):
-            if v not in work.adj:
+        for v, a in enumerate(adj):
+            if a is None:
                 continue
-            if work.nloops[v] > 0:
+            if loops[v]:
                 if v in kept:
                     return False
                 chosen.append(v)
                 work.remove(v)
                 changed = True
-                continue
-            d = work.degree(v)
-            if d <= 1:
+            elif deg[v] <= 1:
                 work.remove(v)
                 changed = True
-            elif d == 2 and len(work.adj[v]) == 2:
+            elif deg[v] == 2 and len(a) == 2:
                 # bypass: distinct neighbors only; a parallel pair is left
                 # for branching so no loop is created
-                u, w = work.adj[v]
+                u, w = a
                 work.remove(v)
-                work.adj[u][w] = work.adj[u].get(w, 0) + 1
-                work.adj[w][u] = work.adj[w].get(u, 0) + 1
+                adj[u][w] = adj[u].get(w, 0) + 1
+                adj[w][u] = adj[w].get(u, 0) + 1
+                deg[u] += 1
+                deg[w] += 1
+                work.m += 1
                 changed = True
     return True
 
@@ -338,28 +351,27 @@ def _degree_lower_bound(work: _Work, kept: frozenset[int]) -> int | None:
     at most d - 1, and degrees only fall as vertices go (Bafna, Berman and
     Fujito 1999).  So a feedback set avoiding `kept` has at least as many
     vertices as it takes of the largest d - 1 values to reach the cyclomatic
-    number.  A loop counts twice in a degree, so half the degree sum is m
-    with each loop once.  Returns None when all free vertices together fall
-    short.
+    number.  Returns None when all free vertices together fall short.
     """
-    degree = {v: work.degree(v) for v in work.adj}
+    adj = work.adj
+    seen = [a is None for a in adj]
     comps = 0
-    seen: set[int] = set()
-    for s in work.adj:
-        if s in seen:
+    for s in range(len(adj)):
+        if seen[s]:
             continue
         comps += 1
-        seen.add(s)
+        seen[s] = True
         stack = [s]
         while stack:
-            for y in work.adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
                     stack.append(y)
-    need = sum(degree.values()) // 2 - len(degree) + comps  # m - n + c
+    need = work.m - work.n + comps
     if need <= 0:
         return 0
-    drops = sorted((d - 1 for v, d in degree.items() if v not in kept), reverse=True)
+    free = (d - 1 for v, d in enumerate(work.deg) if adj[v] is not None and v not in kept)
+    drops = sorted(free, reverse=True)
     for k, d in enumerate(drops, 1):
         need -= d
         if need <= 0:
@@ -367,23 +379,81 @@ def _degree_lower_bound(work: _Work, kept: frozenset[int]) -> int | None:
     return None
 
 
-def _greedy_fvs(g: Multigraph) -> list[int]:
-    work = _Work(g)
+def _greedy_fvs(work: _Work, order: range | list[int]) -> list[int]:
+    """A feedback set of `work`, which it consumes: reduce, then take a
+    vertex of largest degree, the first in `order` on ties, until no edge."""
     chosen: list[int] = []
     while True:
-        _reduce(work, set(), chosen)
-        if not work.has_edges():
+        _reduce(work, frozenset(), chosen)
+        if not work.m:
             return chosen
-        v = max(work.adj, key=lambda x: (work.degree(x), -x))
+        v = max(order, key=work.deg.__getitem__)
         chosen.append(v)
         work.remove(v)
 
 
+def _drop_redundant(work: _Work, picked: list[int]) -> list[int]:
+    """`picked`, a feedback set of the loop-free `work`, less every vertex
+    whose return still leaves a forest.  The other vertices join a
+    union-find forest (`parent[v] < 0` outside it) first, then the picked
+    ones, last picked first, each if its edges reach distinct trees."""
+    parent = [-1] * len(work.adj)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    picks = set(picked)
+    rest = [v for v, a in enumerate(work.adj) if a is not None and v not in picks]
+    for v in rest + picked[::-1]:
+        roots = [find(u) for u, k in work.adj[v].items() if parent[u] >= 0 for _ in range(k)]
+        if len(set(roots)) == len(roots):
+            parent[v] = v
+            for r in roots:
+                parent[r] = v
+    return [v for v in picked if parent[v] < 0]
+
+
+_RESTARTS = 50  # greedy restarts tried at a cubic root
+
+
 def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
-    """Minimum feedback vertex set by branch and bound with reductions."""
+    """Minimum feedback vertex set by branch and bound with reductions.
+
+    The search runs on a `_Work` graph, whose stored degrees and counts no
+    node sums again.  The incumbent is the greedy set (`_greedy_fvs`, ties
+    to the smallest label).  When every vertex of the reduced root has degree 3 and the
+    incumbent lies above the root's degree bound (met on a connected cubic
+    graph exactly when some feedback set is independent and leaves a tree;
+    Speckenmeyer 1988, Ueno, Kajitani and Gotoh 1988), the incumbent and up
+    to `_RESTARTS` greedy runs with tie orders from a `random.Random(0)`
+    local to the call are trimmed by `_drop_redundant`; the smallest is kept
+    and the first to meet the bound ends them.  Sweeps and ties go by label,
+    so the witness depends only on the labels; without restarts it is the
+    one of the dict-based kernel in `tests/fvs_oracle.py`.
+    """
     deadline = _deadline(time_limit_s)
-    best = sorted(_greedy_fvs(g))
+    root = _Work(g)
+    forced: list[int] = []
+    _reduce(root, frozenset(), forced)
+    labels = range(g.n)
+    start = _greedy_fvs(root.copy(), labels)
+    best = sorted(forced + start)
     best_size = len(best)
+    bound = _degree_lower_bound(root, frozenset())
+    if len(start) > bound and all(d == 3 for d, a in zip(root.deg, root.adj) if a is not None):
+        rng = random.Random(0)
+        for r in range(_RESTARTS + 1):  # the incumbent, then the restarts
+            if r:
+                _check_deadline(deadline)
+                start = _greedy_fvs(root.copy(), rng.sample(labels, g.n))
+            start = _drop_redundant(root, start)
+            if len(forced) + len(start) < best_size:
+                best = sorted(forced + start)
+                best_size = len(best)
+            if len(start) == bound:
+                break
 
     def search(work: _Work, chosen: list[int], kept: frozenset[int]) -> None:
         nonlocal best, best_size
@@ -392,21 +462,21 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
             return
         if len(chosen) >= best_size:
             return
-        if not work.has_edges():
+        if not work.m:
             best = sorted(chosen)
             best_size = len(chosen)
             return
         bound = _degree_lower_bound(work, kept)
         if bound is None or len(chosen) + bound >= best_size:
             return  # the free vertices cannot break every cycle, or beat best
-        cands = [v for v in work.adj if v not in kept]
-        v = max(cands, key=lambda x: (work.degree(x), -x))
+        free = (x for x, a in enumerate(work.adj) if a is not None and x not in kept)
+        v = max(free, key=work.deg.__getitem__)  # the smallest label on ties
         in_branch = work.copy()
         in_branch.remove(v)
         search(in_branch, chosen + [v], kept)
         search(work, list(chosen), kept | {v})
 
-    search(_Work(g), [], frozenset())
+    search(root, forced, frozenset())
     fs = FeedbackSet(tuple(best), best_size)
     fs.verify(g)
     return fs

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import fvs_oracle
 import jonescheck
 from jonescheck import cli, graphs, harness, io, solvers
 from jonescheck.multigraph import Multigraph
+from test_solvers import _random_cubic_planar
 
 
 def _run(capsys, argv):
@@ -64,6 +67,20 @@ def test_jobs_same_records(capsys, sweep_file, argv):
         rec.pop("wall_time", None)  # verify's timings
     assert [r["index"] for r in lines2[:-1]] == list(range(48))
     assert lines1 == lines2
+
+
+def test_solve_jobs_same_fvs_witness_cubic(capsys, tmp_path):
+    # 32 random cubic planar graphs (n = 24), some of which need the fvs
+    # multi-start's restarts: each witness is the same whichever worker
+    # solves it and whatever that worker solved before
+    gs = [_random_cubic_planar(24, random.Random(seed)) for seed in range(32)]
+    assert sum(fvs_oracle.multi_start_runs(g) for g in gs[16:]) >= 4
+    p = _write(tmp_path, gs)
+    code1, lines1 = _run(capsys, ["solve", "--input", p])
+    code2, lines2 = _run(capsys, ["solve", "--input", p, "--jobs", "2"])
+    assert code1 == code2 == 0
+    assert lines1 == lines2
+    assert lines1[-1] == {"summary": True, "graphs": 32, "violations": 0}
 
 
 def test_solve_long_path(capsys, tmp_path):
@@ -152,28 +169,13 @@ def test_reduce(capsys, corpus_file):
             assert cert["holds"]
 
 
-def _bridged_dodecahedra() -> Multigraph:
-    # two dodecahedra, each with one edge subdivided, joined by a bridge
-    # between the new vertices (n = 42)
-    d = graphs.dodecahedron()
+def _bridged(d: Multigraph) -> Multigraph:
+    # two copies of d, each with one edge subdivided, joined by a bridge
+    # between the new vertices (n = 2 * d.n + 2)
     (u, v), rest = d.edges[0], d.edges[1:]
     half = [(u, d.n), (d.n, v), *rest]
     shift = d.n + 1
     edges = half + [(a + shift, b + shift) for a, b in half] + [(d.n, d.n + shift)]
-    return Multigraph(2 * shift, tuple(edges))
-
-
-def _joined_dodecahedra() -> Multigraph:
-    # two dodecahedra, each less one vertex, joined by three edges between
-    # the vertices left with degree 2 (n = 38)
-    d = graphs.dodecahedron()
-    half = [e for e in d.edges if 0 not in e]
-    ends = sorted(u + v for u, v in d.edges if 0 in (u, v))
-    relabel = {x: i for i, x in enumerate(range(1, d.n))}
-    shift = d.n - 1
-    edges = [(relabel[a], relabel[b]) for a, b in half]
-    edges += [(a + shift, b + shift) for a, b in edges]
-    edges += [(relabel[x], relabel[x] + shift) for x in ends]
     return Multigraph(2 * shift, tuple(edges))
 
 
@@ -184,9 +186,9 @@ def _write(tmp_path, inputs) -> str:
 
 
 def test_reduce_time_limit(capsys, tmp_path):
-    # the nontrivial 3-cut's certificate solves the parent's fvs on all 38
-    # vertices
-    p = _write(tmp_path, [_joined_dodecahedra(), graphs.complete(4)])
+    # the bridge certificate of two GP(20,2) solves cp on each 41-vertex
+    # side, some 10 ms a call
+    p = _write(tmp_path, [_bridged(graphs.generalized_petersen(20, 2)), graphs.complete(4)])
     code, lines = _run(
         capsys,
         ["reduce", "--input", p, "--certificates", "--time-limit-ms", "1"],
@@ -200,7 +202,7 @@ def test_reduce_time_limit(capsys, tmp_path):
 
 def test_reduce_bridged_dodecahedra(capsys, tmp_path):
     # a bridge certificate solves only the two 21-vertex sides
-    p = _write(tmp_path, [_bridged_dodecahedra()])
+    p = _write(tmp_path, [_bridged(graphs.dodecahedron())])
     t = time.monotonic()
     code, lines = _run(capsys, ["reduce", "--input", p, "--certificates"])
     assert time.monotonic() - t < 1.0

@@ -1,10 +1,17 @@
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import bruteforce_oracle
 import cp_oracle
+import fvs_oracle
 from jonescheck import graphs, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
 
@@ -183,9 +190,9 @@ def test_dodecahedron_frozen_values():
     assert fvs.size == 2 * cp.size
 
 
-def _random_multigraph(rng: random.Random) -> Multigraph:
-    """Multigraph on n <= 9 vertices with loops, parallel and triple edges."""
-    n = rng.randrange(1, 10)
+def _random_multigraph(rng: random.Random, max_n: int = 9) -> Multigraph:
+    """Multigraph on n <= max_n vertices with loops, parallel and triple edges."""
+    n = rng.randrange(1, max_n + 1)
     edges = [
         (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 2 * n + 2))
     ]
@@ -246,6 +253,121 @@ def _random_cubic_planar(n: int, rng: random.Random) -> Multigraph:
         faces.remove(f)
         faces += [r[: q + 1], r[q:] + r[:1]]
     return Multigraph(n, tuple(edges))
+
+
+def test_fvs_matches_dict_kernel(multi_corpus_8):
+    # the dict-based reference kernel gives the same witness wherever the
+    # multi-start does not run, and the same size everywhere
+    rng = random.Random(2410)
+    inputs = [_random_multigraph(rng, max_n=14) for _ in range(1500)] + multi_corpus_8
+    for g in inputs:
+        fvs, ref = solvers.fvs_exact(g), fvs_oracle.fvs_exact(g)
+        assert fvs.size == ref.size
+        if not fvs_oracle.multi_start_runs(g):
+            assert fvs.vertices == ref.vertices
+
+
+def _recount(work: solvers._Work) -> tuple:
+    """Degrees, edges left and vertices left, counted from `adj` and `loops`."""
+    deg, ends, loops, n = [], 0, 0, 0
+    for v, a in enumerate(work.adj):
+        if a is None:
+            deg.append(0)
+            continue
+        assert all(work.adj[u][v] == k for u, k in a.items())  # symmetric
+        deg.append(sum(a.values()) + 2 * work.loops[v])
+        ends += sum(a.values())
+        loops += work.loops[v]
+        n += 1
+    return deg, ends // 2 + loops, n
+
+
+def test_work_counts_stay_current():
+    rng = random.Random(77)
+    for _ in range(300):
+        work = solvers._Work(_random_multigraph(rng, max_n=14))
+        assert (work.deg, work.m, work.n) == _recount(work)
+        while work.n:
+            step = rng.random()
+            if step < 0.4:
+                solvers._reduce(work, frozenset(), [])
+            elif step < 0.5:
+                work = work.copy()
+            else:
+                work.remove(rng.choice([v for v, a in enumerate(work.adj) if a is not None]))
+            assert (work.deg, work.m, work.n) == _recount(work)
+
+
+def _random_cubic_multigraph(n: int, rng: random.Random) -> Multigraph:
+    """Loopless cubic multigraph on an even n: a random pairing of the 3n
+    edge ends, drawn again until no edge joins a vertex to itself."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = [(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
+        if all(a != b for a, b in edges):
+            return Multigraph(n, tuple(edges))
+
+
+def test_fvs_multi_start_matches_bruteforce():
+    # cubic multigraphs with n <= 16 on which the multi-start runs
+    rng = random.Random(316)
+    tested = 0
+    while tested < 30:
+        g = _random_cubic_multigraph(rng.randrange(4, 17, 2), rng)
+        if fvs_oracle.multi_start_runs(g):
+            assert solvers.fvs_exact(g).size == bruteforce_oracle.fvs_bruteforce(g).size
+            tested += 1
+
+
+# fixed before any was run: each gives a random cubic planar graph with
+# n = 44 to 100 (`_seeded_cubic_planar`)
+CUBIC_PLANAR_SEEDS = tuple(range(1000, 1030))
+
+
+def _seeded_cubic_planar(seed: int) -> Multigraph:
+    rng = random.Random(seed)
+    return _random_cubic_planar(rng.randrange(44, 101, 2), rng)
+
+
+def test_fvs_cubic_planar_meets_degree_bound():
+    # the multi-start finds a feedback set of the Bafna-Berman-Fujito size
+    # ceil((n + 2) / 4), so the search ends at its root
+    for seed in CUBIC_PLANAR_SEEDS:
+        g = _seeded_cubic_planar(seed)
+        assert solvers.fvs_exact(g, time_limit_s=2).size == math.ceil((g.n + 2) / 4), seed
+
+
+def test_fvs_witness_deterministic():
+    # the restarts draw from a generator local to the call: the witness is
+    # the same on every call and in fresh interpreters with other hash
+    # seeds, and the global `random` state is untouched
+    gs = [_seeded_cubic_planar(seed) for seed in CUBIC_PLANAR_SEEDS[:10]]
+    assert sum(fvs_oracle.multi_start_runs(g) for g in gs) >= 8
+    state = random.getstate()
+    here = [list(solvers.fvs_exact(g).vertices) for g in gs]
+    assert random.getstate() == state
+    assert [list(solvers.fvs_exact(g).vertices) for g in gs] == here
+    script = (
+        "import json, sys\n"
+        "from jonescheck import solvers\n"
+        "from jonescheck.multigraph import Multigraph\n"
+        "gs = [Multigraph(n, tuple(map(tuple, e))) for n, e in json.load(sys.stdin)]\n"
+        "print(json.dumps([list(solvers.fvs_exact(g).vertices) for g in gs]))\n"
+    )
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps([(g.n, g.edges) for g in gs]),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == here
 
 
 def _cp_uncapped(g: Multigraph) -> tuple[tuple[int, ...], ...]:
