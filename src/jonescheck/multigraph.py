@@ -10,8 +10,27 @@ on a derived graph can be translated back to the parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
+
+
+class _cached_property:
+    """`functools.cached_property` without its per-instance lock, which
+    Python 3.10 and 3.11 take on every first access.  The first access
+    stores the value in the instance's `__dict__`, where later accesses find
+    it before this non-data descriptor is consulted."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _index_set(indices: Iterable[int]) -> tuple[int, ...]:
@@ -46,7 +65,7 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached_property
     def _degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -60,7 +79,7 @@ class Multigraph:
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
-    @cached_property
+    @_cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each vertex, sorted tuple of (neighbor, edge_id), loops excluded."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -70,7 +89,7 @@ class Multigraph:
                 adj[v].append((u, eid))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @cached_property
+    @_cached_property
     def loops(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, sorted tuple of loop edge ids."""
         lp: list[list[int]] = [[] for _ in range(self.n)]
@@ -95,7 +114,7 @@ class Multigraph:
 
     # -- connectivity-level structure -------------------------------------
 
-    @cached_property
+    @_cached_property
     def _component_labels(self) -> tuple[int, ...]:
         label = [-1] * self.n
         comp = 0

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+import canonical_bytes_oracle
 import canonical_oracle
 import generator_oracle
 from isomorphism import are_isomorphic
+from random_graphs import random_cubic_planar
 import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
 from jonescheck import graphs, structure
@@ -152,9 +154,9 @@ def _random_oracle_graph(rng: random.Random) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def _regular(g: Multigraph) -> bool:
-    """Colour refinement leaves one class: the graph is regular, with the
-    same loops and the same multiplicities at every vertex."""
+def _loops_neigh(g: Multigraph) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
+    """Loop counts and sorted (neighbour, multiplicity) lists, the input of
+    the reference refinements."""
     loops = [0] * g.n
     mult: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for u, v in g.edges:
@@ -163,8 +165,13 @@ def _regular(g: Multigraph) -> bool:
         else:
             mult[u][v] = mult[u].get(v, 0) + 1
             mult[v][u] = mult[v].get(u, 0) + 1
-    neigh = [sorted(m.items()) for m in mult]
-    return g.n > 1 and max(canonical_oracle._refined_colors(g.n, tuple(loops), neigh)) == 0
+    return tuple(loops), [sorted(m.items()) for m in mult]
+
+
+def _regular(g: Multigraph) -> bool:
+    """Colour refinement leaves one class: the graph is regular, with the
+    same loops and the same multiplicities at every vertex."""
+    return g.n > 1 and max(canonical_oracle._refined_colors(g.n, *_loops_neigh(g))) == 0
 
 
 def _assert_matches_oracle(gs: list[Multigraph]) -> None:
@@ -180,35 +187,12 @@ def _assert_matches_oracle(gs: list[Multigraph]) -> None:
     assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
 
 
-def _random_cubic_planar(rng: random.Random, n: int) -> Multigraph:
-    """K4 grown by one move: subdivide two edges of a face and join the two
-    new vertices across it."""
-    faces = [[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for a in range(4, n, 2):
-        b = a + 1
-        f = faces.pop(rng.randrange(len(faces)))
-        i, j = sorted(rng.sample(range(len(f)), 2))
-        for x, y, mid in ((f[i], f[(i + 1) % len(f)], a), (f[j], f[(j + 1) % len(f)], b)):
-            edges.remove((x, y) if (x, y) in edges else (y, x))
-            edges += [(x, mid), (mid, y)]
-            # the one other face along the edge x-y
-            for h in faces:
-                k = next((k for k in range(len(h)) if {h[k], h[k - 1]} == {x, y}), None)
-                if k is not None:
-                    h.insert(k, mid)
-                    break
-        edges.append((a, b))
-        faces += [f[: i + 1] + [a, b] + f[j + 1 :], [a] + f[i + 1 : j + 1] + [b]]
-    return Multigraph(n, tuple(edges))
-
-
 def test_matches_oracle_random():
     rng = random.Random(4242)
     gs = [_random_oracle_graph(rng) for _ in range(2000)]
     for n in range(4, 22, 2):
         for _ in range(4):
-            g = _random_cubic_planar(rng, n)
+            g = random_cubic_planar(n, rng)
             assert g.is_cubic() and structure.is_planar(g)
             gs.append(g)
     regular = [g for g in gs if _regular(g)]
@@ -367,3 +351,76 @@ def test_large_values():
     assert form[:5] == bytes([255]) + (300).to_bytes(4, "big")
     assert form == canonical_form(_permuted(p, list(reversed(range(300)))))
     assert form != canonical_form(graphs.path(301))
+
+
+def _union(*gs: Multigraph) -> Multigraph:
+    """Disjoint union, the vertices of each graph after those of the last."""
+    edges: list[tuple[int, int]] = []
+    base = 0
+    for g in gs:
+        edges += [(base + u, base + v) for u, v in g.edges]
+        base += g.n
+    return Multigraph(base, tuple(edges))
+
+
+def _random_heavy_multigraph(rng: random.Random) -> Multigraph:
+    """Loops and parallel edges, some of them 255 or more times over."""
+    n = rng.randint(1, 12)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 2 * n + 2)):
+        u = rng.randrange(n)
+        r = rng.random()
+        v = u if r < 0.15 else rng.randrange(n)
+        edges += [(u, v)] * (rng.choice((2, 3, 254, 255, 300)) if r > 0.9 else 1)
+    return Multigraph(n, tuple(edges))
+
+
+def _random_subcubic(rng: random.Random) -> Multigraph:
+    """Simple graph of maximum degree 3, often a forest or disconnected."""
+    n = rng.randint(2, 16)
+    deg = [0] * n
+    edges: set[tuple[int, int]] = set()
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Multigraph(n, tuple(sorted(edges)))
+
+
+def test_matches_byte_reference():
+    # the same bytes and the same automorphism generators, in the same
+    # order, as the reference kernel: on random multigraphs (loops, values
+    # from 255 up), subcubic graphs (several rounds of refinement), cubic
+    # planar graphs (one class until the layer split), paths, cycles and
+    # disjoint unions, and on relabelled copies
+    rng = random.Random(2501)
+    gs = [_random_heavy_multigraph(rng) for _ in range(500)]
+    gs += [_random_subcubic(rng) for _ in range(500)]
+    gs += [random_cubic_planar(n, rng) for n in range(4, 31, 2) for _ in range(3)]
+    gs += [graphs.path(k) for k in range(1, 41)] + [graphs.cycle(k) for k in range(3, 41)]
+    for _ in range(60):
+        parts = [
+            rng.choice((graphs.path, graphs.cycle))(rng.randint(3, 8)),
+            random_cubic_planar(rng.randrange(4, 13, 2), rng),
+            _random_heavy_multigraph(rng),
+        ]
+        gs.append(_union(*rng.choices(parts, k=rng.randint(2, 4))))
+    copies = []
+    for g in gs[::3]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copies.append(_permuted(g, perm))
+    kinds: Counter = Counter()
+    for g in gs + copies:
+        want_autos: list[tuple[int, ...]] = []
+        got_autos: list[tuple[int, ...]] = []
+        want = canonical_bytes_oracle.canonical_form(g, want_autos)
+        assert canonical_form(g, got_autos) == want, g
+        assert got_autos == want_autos, g
+        colors = canonical_bytes_oracle._refined_colors(g.n, *_loops_neigh(g))
+        kinds["discrete" if len(set(colors)) == g.n else "classes"] += 1
+        kinds["regular"] += _regular(g)
+        kinds["wide"] += b"\xff" in want
+    assert min(kinds.values()) > 40, kinds

@@ -12,7 +12,7 @@ import fvs_oracle
 import jonescheck
 from jonescheck import cli, graphs, harness, io, solvers
 from jonescheck.multigraph import Multigraph
-from test_solvers import _random_cubic_planar
+from random_graphs import random_cubic_planar
 
 
 def _run(capsys, argv):
@@ -73,7 +73,7 @@ def test_solve_jobs_same_fvs_witness_cubic(capsys, tmp_path):
     # 32 random cubic planar graphs (n = 24), some of which need the fvs
     # multi-start's restarts: each witness is the same whichever worker
     # solves it and whatever that worker solved before
-    gs = [_random_cubic_planar(24, random.Random(seed)) for seed in range(32)]
+    gs = [random_cubic_planar(24, random.Random(seed)) for seed in range(32)]
     assert sum(fvs_oracle.multi_start_runs(g) for g in gs[16:]) >= 4
     p = _write(tmp_path, gs)
     code1, lines1 = _run(capsys, ["solve", "--input", p])

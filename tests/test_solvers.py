@@ -12,6 +12,7 @@ import pytest
 import bruteforce_oracle
 import cp_oracle
 import fvs_oracle
+from random_graphs import random_cubic_planar
 from jonescheck import graphs, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
 
@@ -229,32 +230,6 @@ def test_oracle_equivalence_random():
             assert solvers.cp_exact(g).size == cp_oracle._cp_branch(g, None).size
 
 
-def _random_cubic_planar(n: int, rng: random.Random) -> Multigraph:
-    """Cubic planar graph on an even n >= 4: from K4, each step subdivides
-    two edges on the boundary of a random face and joins the two new
-    vertices across it.  Faces are kept as vertex lists in one orientation."""
-    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for x in range(4, n, 2):
-        f = rng.choice(faces)
-        i, j = rng.sample(range(len(f)), 2)
-        for (a, b), mid in (((f[i - 1], f[i]), x), ((f[j - 1], f[j]), x + 1)):
-            edges.remove((min(a, b), max(a, b)))
-            edges += [(min(a, mid), mid), (min(b, mid), mid)]
-            for h in faces:  # both faces on the edge, f among them
-                for t in range(len(h)):
-                    if {h[t - 1], h[t]} == {a, b}:
-                        h.insert(t, mid)
-                        break
-        edges.append((x, x + 1))
-        p = f.index(x)
-        r = f[p:] + f[:p]
-        q = r.index(x + 1)
-        faces.remove(f)
-        faces += [r[: q + 1], r[q:] + r[:1]]
-    return Multigraph(n, tuple(edges))
-
-
 def test_fvs_matches_dict_kernel(multi_corpus_8):
     # the dict-based reference kernel gives the same witness wherever the
     # multi-start does not run, and the same size everywhere
@@ -327,7 +302,7 @@ CUBIC_PLANAR_SEEDS = tuple(range(1000, 1030))
 
 def _seeded_cubic_planar(seed: int) -> Multigraph:
     rng = random.Random(seed)
-    return _random_cubic_planar(rng.randrange(44, 101, 2), rng)
+    return random_cubic_planar(rng.randrange(44, 101, 2), rng)
 
 
 def test_fvs_cubic_planar_meets_degree_bound():
@@ -389,7 +364,7 @@ def _capped_route_inputs() -> list[Multigraph]:
         edges += [rng.choice(edges)] * rng.randrange(0, 3)
         out.append(Multigraph(n, tuple(edges)))
     for n in range(4, 32, 2):
-        out += [_random_cubic_planar(n, rng) for _ in range(4)]
+        out += [random_cubic_planar(n, rng) for _ in range(4)]
     return out
 
 
