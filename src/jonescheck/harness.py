@@ -350,14 +350,26 @@ def _strip_low_degree(g: Multigraph) -> tuple[Multigraph, bool]:
     Suppressing v changes no other degree (u trades vu for uw; if u = w it
     trades two edge ends for a loop), so no degree-<=1 vertex reappears and
     no vertex becomes suppressible.  The vertices below v keep their labels,
-    so the scan for the next one resumes at v.
+    so the scan for the next one resumes at v.  The degrees and looped
+    vertices are kept here, so no intermediate graph computes its own.
     """
     cur, _, _ = reduction.delete_degree_le1(g)
     changed = cur.n != g.n
+    deg = [0] * cur.n
+    looped = [False] * cur.n
+    for u, v in cur.edges:
+        deg[u] += 1
+        deg[v] += 1
+        if u == v:
+            looped[u] = True
     x = 0
     while x < cur.n:
-        if cur.degree(x) == 2 and not cur.loops[x]:
-            cur = reduction.suppress_degree2(cur, x).graph
+        if deg[x] == 2 and not looped[x]:
+            s = reduction.suppress_degree2(cur, x)
+            cur = s.graph
+            del deg[x], looped[x]
+            if s.u == s.w:
+                looped[s.u - (s.u > x)] = True
             changed = True
         else:
             x += 1
@@ -370,7 +382,10 @@ def reduce_pipeline(
     """Recursively reduce along low-degree vertices, bridges, 2-cuts and
     nontrivial 3-cuts until every leaf is acyclic, essentially 4-edge-connected
     or has at most 4 vertices.  `time_limit_s` bounds each solver call of the
-    certificates; one over it raises `solvers.SolverLimit`."""
+    certificates; one over it raises `solvers.SolverLimit`.  The certificates
+    share one solve memo, local to this call, so each distinct part graph is
+    solved once."""
+    memo: dict = {}
     decs: list[reduction.Decomposition] = []
     leaves: list[PipelineLeaf] = []
     certs: list[reduction.Certificate] = []
@@ -410,7 +425,7 @@ def reduce_pipeline(
             d = reduction.decompose_3cut(h, cut)
         decs.append(d)
         if with_certificates:
-            certs.append(reduction.certify(d, time_limit_s))
+            certs.append(reduction.certify(d, time_limit_s, memo))
         sides = ("G1p", "G2p") if k == 2 else ("G1", "G2")
         stack.extend(d.parts[side].graph for side in sides)
     return PipelineResult(tuple(decs), tuple(leaves), tuple(certs))

@@ -5,6 +5,13 @@ the edge id of an edge is its index in that tuple, so ids are always dense
 in [0, m).  Every editing operation returns a new graph together with maps
 relating the new vertex/edge indices to the old ones, so witnesses computed
 on a derived graph can be translated back to the parent.
+
+The public constructor checks every endpoint and normalizes each pair.  The
+editing operations below build results whose edges are already in range and
+normalized, so they use the private `Multigraph._trusted` instead, which
+stores its arguments as given.  Only code that constructs such edges itself
+may call it (this module and `reduction`); the randomized test in
+`tests/test_multigraph.py` checks each caller against the public constructor.
 """
 
 from __future__ import annotations
@@ -58,6 +65,16 @@ class Multigraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             norm.append((u, v) if u <= v else (v, u))
         object.__setattr__(self, "edges", tuple(norm))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Multigraph":
+        """The graph on `n` vertices with `edges`, a tuple of pairs u <= v in
+        range, stored without the checks of the public constructor."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -116,21 +133,23 @@ class Multigraph:
 
     @_cached_property
     def _component_labels(self) -> tuple[int, ...]:
-        label = [-1] * self.n
-        comp = 0
-        for start in range(self.n):
-            if label[start] != -1:
-                continue
-            stack = [start]
-            label[start] = comp
-            while stack:
-                x = stack.pop()
-                for y, _ in self.adjacency[x]:
-                    if label[y] == -1:
-                        label[y] = comp
-                        stack.append(y)
-            comp += 1
-        return tuple(label)
+        """Component of each vertex, numbered by their smallest vertices,
+        from one union-find pass over the edges."""
+        parent = list(range(self.n))
+        for u, v in self.edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            parent[u] = v
+        label: dict[int, int] = {}
+        out = []
+        for v in range(self.n):
+            r = v
+            while parent[r] != r:
+                r = parent[r]
+            out.append(label.setdefault(r, len(label)))
+        return tuple(out)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         labels = self._component_labels
@@ -192,17 +211,21 @@ def _check_vertices(g: Multigraph, w: Iterable[int]) -> tuple[int, ...]:
 
 def delete_vertices(g: Multigraph, w: Iterable[int]) -> EditResult:
     """Induced subgraph on the complement of w, with relabeling maps."""
-    w = _check_vertices(g, w)
-    gone = set(w)
+    gone = set(_check_vertices(g, w))
     vmap = [v for v in range(g.n) if v not in gone]
-    new_index = {v: i for i, v in enumerate(vmap)}
+    new_index = [-1] * g.n
+    for i, v in enumerate(vmap):
+        new_index[v] = i
     new_edges = []
     emap = []
     for eid, (u, v) in enumerate(g.edges):
-        if u not in gone and v not in gone:
-            new_edges.append((new_index[u], new_index[v]))
+        a, b = new_index[u], new_index[v]
+        if a >= 0 and b >= 0:
+            new_edges.append((a, b))
             emap.append(eid)
-    return EditResult(Multigraph(len(vmap), tuple(new_edges)), tuple(vmap), tuple(emap))
+    return EditResult(
+        Multigraph._trusted(len(vmap), tuple(new_edges)), tuple(vmap), tuple(emap)
+    )
 
 
 def delete_edges(g: Multigraph, f: Iterable[int]) -> EditResult:
@@ -218,7 +241,7 @@ def delete_edges(g: Multigraph, f: Iterable[int]) -> EditResult:
             new_edges.append(uv)
             emap.append(eid)
     return EditResult(
-        Multigraph(g.n, tuple(new_edges)), tuple(range(g.n)), tuple(emap)
+        Multigraph._trusted(g.n, tuple(new_edges)), tuple(range(g.n)), tuple(emap)
     )
 
 
@@ -226,7 +249,7 @@ def add_edge(g: Multigraph, u: int, v: int) -> Multigraph:
     """New graph with an extra edge (id = old m); parallels and loops allowed."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"endpoint out of range for n={g.n}")
-    return Multigraph(g.n, g.edges + ((u, v),))
+    return Multigraph._trusted(g.n, g.edges + ((u, v) if u <= v else (v, u),))
 
 
 def contract_side_to_vertex(g: Multigraph, keep: Iterable[int]) -> EditResult:
@@ -256,4 +279,4 @@ def contract_side_to_vertex(g: Multigraph, keep: Iterable[int]) -> EditResult:
             new_edges.append((new_index[kept_end], x))
             emap.append(eid)
     vmap = tuple(keep) + (-1,)
-    return EditResult(Multigraph(x + 1, tuple(new_edges)), vmap, tuple(emap))
+    return EditResult(Multigraph._trusted(x + 1, tuple(new_edges)), vmap, tuple(emap))

@@ -7,17 +7,20 @@ be lifted and re-verified.  Certificates evaluate only inequalities that are
 valid for arbitrary graphs; conditional equalities that hold just for a
 hypothetical minimal counterexample are recorded as observations.
 
-A certificate solves each distinct part graph once and takes the parent's
-values from the parts' witnesses, lifted and verified on the parent, by
-exact formulas (f, c: fvs, cp; Gi: side i; Gi': side i plus the 2-cut's
-virtual edge; Gi_XY: side i plus the virtual edge for 3-cut edges X, Y):
+Each distinct part graph is solved once per solve memo (`_solve_parts`).
+`harness.reduce_pipeline` passes one memo, local to the call, to all its
+certificates, so a part is solved once per pipeline call, not once per
+certificate.  A certificate takes the parent's values from the parts'
+witnesses, lifted and verified on the parent, by exact formulas (f, c: fvs,
+cp; Gi: side i; Gi': side i plus the 2-cut's virtual edge; Gi_XY: side i
+plus the virtual edge for 3-cut edges X, Y):
 - bridge, which lies on no cycle: fvs = f(G1) + f(G2), cp = c(G1) + c(G2);
 - 2-cut, whose crossing cycles use both cut edges:
   fvs = min(f(G1') + f(G2), f(G1) + f(G2')),
   cp = max(c(G1) + c(G2), c(G1') + c(G2') - 1);
 - 3-cut: cp = max(c(G1) + c(G2), c(G1_XY) + c(G2_XY) - 1 over the pairs XY),
   as a packing holds at most one crossing cycle.  No part pins the 3-cut's
-  fvs down, so it alone is still solved on the parent.
+  fvs down, so it alone is still solved on the parent, through the memo.
 """
 
 from __future__ import annotations
@@ -192,18 +195,19 @@ def suppress_degree2(g: Multigraph, v: int) -> SuppressedVertex:
         else:
             edges.append((a - (a > v), b - (b > v)))
             emap.append(eid)
-    if g.degree(v) != 2 or len(inc) != 2:
+    if len(inc) != 2 or v in (inc[0][1], inc[1][1]):  # a loop at v has v at both ends
         raise ValueError(f"vertex {v} does not have two non-loop incident edges")
     (e1, u), (e2, w) = inc
-    edges.append((u - (u > v), w - (w > v)))  # u = w gives a loop
-    child = Multigraph(g.n - 1, tuple(edges))
+    a, b = u - (u > v), w - (w > v)
+    edges.append((a, b) if a <= b else (b, a))  # u = w gives a loop
+    child = Multigraph._trusted(g.n - 1, tuple(edges))
     return SuppressedVertex(
         parent=g,
         graph=child,
         suppressed=v,
         u=u,
         w=w,
-        vertex_map=tuple(x for x in range(g.n) if x != v),
+        vertex_map=(*range(v), *range(v + 1, g.n)),
         edge_map=tuple(emap) + (-1,),
         virtual_edge=child.m - 1,
         removed_edges=(e1, e2),
@@ -218,9 +222,13 @@ def delete_degree_le1(g: Multigraph):
     if not queue:
         return g, tuple(range(g.n)), tuple(range(g.m))
     gone = set(queue)
-    adj = g.adjacency
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     while queue:
-        for y, _ in adj[queue.pop()]:
+        for y in nbrs[queue.pop()]:
             deg[y] -= 1
             if deg[y] <= 1 and y not in gone:
                 gone.add(y)
@@ -230,21 +238,30 @@ def delete_degree_le1(g: Multigraph):
 
 
 def _solve_parts(
-    d: Decomposition, time_limit_s: float | None
+    d: Decomposition, time_limit_s: float | None, memo: dict | None
 ) -> tuple[dict[str, FeedbackSet], dict[str, CyclePacking]]:
     """Exact fvs and cp witnesses of the parts a certificate reads (no
-    packing of a contracted part), each distinct part graph solved once:
-    the two sides of a symmetric cut often come out as the same graph."""
-    solved: dict = {}
-
-    def solve(solver, h: Multigraph):
-        if (solver, h) not in solved:
-            solved[solver, h] = solver(h, time_limit_s=time_limit_s)
-        return solved[solver, h]
-
-    f = {k: solve(fvs_exact, p.graph) for k, p in d.parts.items()}
-    c = {k: solve(cp_exact, p.graph) for k, p in d.parts.items() if not k.endswith("_ABC")}
+    packing of a contracted part), through `memo`, which maps (solver,
+    graph) to a witness (None: a fresh one).  Each distinct part graph is
+    solved once per memo: the two sides of a symmetric cut often come out
+    as the same graph, and `harness.reduce_pipeline` passes one memo to all
+    its certificates."""
+    memo = {} if memo is None else memo
+    f = {k: _solve(memo, fvs_exact, p.graph, time_limit_s) for k, p in d.parts.items()}
+    c = {
+        k: _solve(memo, cp_exact, p.graph, time_limit_s)
+        for k, p in d.parts.items()
+        if not k.endswith("_ABC")
+    }
     return f, c
+
+
+def _solve(memo: dict, solver, h: Multigraph, time_limit_s: float | None):
+    key = (solver, h)
+    w = memo.get(key)
+    if w is None:
+        w = memo[key] = solver(h, time_limit_s=time_limit_s)
+    return w
 
 
 def _sizes(witnesses: dict) -> dict[str, int]:
@@ -312,9 +329,9 @@ def split_bridge(g: Multigraph, e: int) -> Decomposition:
 
 
 def check_bridge_certificate(
-    d: Decomposition, time_limit_s: float | None = None
+    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
 ) -> Certificate:
-    fw, cw = _solve_parts(d, time_limit_s)
+    fw, cw = _solve_parts(d, time_limit_s, memo)
     f, c = _sizes(fw), _sizes(cw)
     f["G"] = _lift_fvs(d, fw, "G1", "G2").size
     c["G"] = _lift_packing(d, cw, "G1", "G2").size
@@ -361,9 +378,9 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
 
 
 def check_cut2_certificate(
-    d: Decomposition, time_limit_s: float | None = None
+    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
 ) -> Certificate:
-    fw, cw = _solve_parts(d, time_limit_s)
+    fw, cw = _solve_parts(d, time_limit_s, memo)
     f, c = _sizes(fw), _sizes(cw)
     # the union that includes the virtual-edge side; the merge when both gain
     sides = ("G1p", "G2") if f["G1p"] + f["G2"] <= f["G1"] + f["G2p"] else ("G1", "G2p")
@@ -515,7 +532,7 @@ def lift_fvs_3cut(
 
 
 def check_cut3_certificate(
-    d: Decomposition, time_limit_s: float | None = None
+    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
 ) -> Certificate:
     """Evaluate the universally valid inequalities around a nontrivial 3-cut.
 
@@ -524,9 +541,10 @@ def check_cut3_certificate(
     """
     if d.kind != "cut3":
         raise ValueError("decomposition is not a 3-cut")
-    fw, cw = _solve_parts(d, time_limit_s)
+    memo = {} if memo is None else memo
+    fw, cw = _solve_parts(d, time_limit_s, memo)
     f, c = _sizes(fw), _sizes(cw)
-    f["G"] = fvs_exact(d.parent, time_limit_s=time_limit_s).size
+    f["G"] = _solve(memo, fvs_exact, d.parent, time_limit_s).size
     # the union, or the merge through the cut edges of a pair where both gain
     gain = [p for p in _PAIRS if c[f"G1_{p}"] + c[f"G2_{p}"] - 1 > c["G1"] + c["G2"]]
     sides = (f"G1_{gain[0]}", f"G2_{gain[0]}") if gain else ("G1", "G2")
@@ -583,17 +601,21 @@ def _cut3_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
     return Certificate(tuple(entries), observations)
 
 
-def certify(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
+def certify(
+    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
+) -> Certificate:
     """The certificate of a decomposition (empty for a low-degree one).  The
     parent's values come from lifted, verified part witnesses: bridge
     fvs = f1 + f2, cp = c1 + c2; 2-cut fvs = min(f(G1') + f2, f1 + f(G2')),
     cp = max(c1 + c2, c(G1') + c(G2') - 1); 3-cut cp = max(c1 + c2,
     c(G1_XY) + c(G2_XY) - 1).  The 3-cut fvs is still solved on the parent.
-    `time_limit_s` bounds each solver call; one over it raises `SolverLimit`."""
+    `time_limit_s` bounds each solver call; one over it raises `SolverLimit`.
+    `memo` (see `_solve_parts`) lets certificates share their part solves;
+    without one, each certificate solves its own parts."""
     if d.kind == "bridge":
-        return check_bridge_certificate(d, time_limit_s)
+        return check_bridge_certificate(d, time_limit_s, memo)
     if d.kind == "cut2":
-        return check_cut2_certificate(d, time_limit_s)
+        return check_cut2_certificate(d, time_limit_s, memo)
     if d.kind == "cut3":
-        return check_cut3_certificate(d, time_limit_s)
+        return check_cut3_certificate(d, time_limit_s, memo)
     return Certificate(())

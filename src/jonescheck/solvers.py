@@ -158,17 +158,20 @@ def enumerate_cycles(
     if max_len is None:
         max_len = g.n
     n = g.n
-    out = [Cycle((lp[0],), (v,)) for v, lp in enumerate(g.loops) if lp]
+    loop = [-1] * n  # the first loop at each vertex
     pairs: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         if u != v:
             pairs.setdefault((u, v), []).append(eid)
+        elif loop[u] < 0:
+            loop[u] = eid
+    out = [Cycle((e,), (v,)) for v, e in enumerate(loop) if e >= 0]
     nbrs: list[list[int]] = [[] for _ in range(n)]  # distinct neighbours
     single: list[dict[int, int]] = [{} for _ in range(n)]  # walked edges
     for (u, v), ids in pairs.items():
         nbrs[u].append(v)
         nbrs[v].append(u)
-        if g.loops[u] or g.loops[v]:
+        if loop[u] >= 0 or loop[v] >= 0:
             continue
         if len(ids) > 1:
             out.append(Cycle((ids[0], ids[1]), (u, v)))
@@ -429,7 +432,10 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
     Speckenmeyer 1988, Ueno, Kajitani and Gotoh 1988), the incumbent and up
     to `_RESTARTS` greedy runs with tie orders from a `random.Random(0)`
     local to the call are trimmed by `_drop_redundant`; the smallest is kept
-    and the first to meet the bound ends them.  Sweeps and ties go by label,
+    and the first to meet the bound ends them.  No search runs when the
+    reductions empty the graph or the incumbent meets the root's degree
+    bound: the search would stop at its root, so the witness is the same,
+    and only the root's deadline check is kept.  Sweeps and ties go by label,
     so the witness depends only on the labels; without restarts it is the
     one of the dict-based kernel in `tests/fvs_oracle.py`.
     """
@@ -476,7 +482,10 @@ def fvs_exact(g: Multigraph, time_limit_s: float | None = None) -> FeedbackSet:
         search(in_branch, chosen + [v], kept)
         search(work, list(chosen), kept | {v})
 
-    search(root, forced, frozenset())
+    if root.m and len(forced) + bound < best_size:
+        search(root, forced, frozenset())
+    else:  # the root search would stop at once; keep its deadline check
+        _check_deadline(deadline)
     fs = FeedbackSet(tuple(best), best_size)
     fs.verify(g)
     return fs

@@ -1,4 +1,4 @@
-"""Random graphs shared by the tests."""
+"""Graphs shared by the tests: random cubic planar graphs and two composites."""
 
 from __future__ import annotations
 
@@ -31,3 +31,24 @@ def random_cubic_planar(n: int, rng: random.Random) -> Multigraph:
         faces.remove(f)
         faces += [r[: q + 1], r[q:] + r[:1]]
     return Multigraph(n, tuple(edges))
+
+
+def bridged(d: Multigraph) -> Multigraph:
+    """Two copies of d, each with one edge subdivided, joined by a bridge
+    between the new vertices (n = 2 * d.n + 2)."""
+    (u, v), rest = d.edges[0], d.edges[1:]
+    half = [(u, d.n), (d.n, v), *rest]
+    shift = d.n + 1
+    edges = half + [(a + shift, b + shift) for a, b in half] + [(d.n, d.n + shift)]
+    return Multigraph(2 * shift, tuple(edges))
+
+
+def chained_k4s(k: int) -> Multigraph:
+    """k copies of K4, each joined to the next by a bridge from its vertex 3
+    to the next one's vertex 0; maximum degree 4."""
+    edges = []
+    for b in range(0, 4 * k, 4):
+        edges += [(b + i, b + j) for i in range(4) for j in range(i + 1, 4)]
+        if b:
+            edges.append((b - 1, b))
+    return Multigraph(4 * k, tuple(edges))

@@ -12,7 +12,7 @@ import fvs_oracle
 import jonescheck
 from jonescheck import cli, graphs, harness, io, solvers
 from jonescheck.multigraph import Multigraph
-from random_graphs import random_cubic_planar
+from random_graphs import bridged, random_cubic_planar
 
 
 def _run(capsys, argv):
@@ -169,16 +169,6 @@ def test_reduce(capsys, corpus_file):
             assert cert["holds"]
 
 
-def _bridged(d: Multigraph) -> Multigraph:
-    # two copies of d, each with one edge subdivided, joined by a bridge
-    # between the new vertices (n = 2 * d.n + 2)
-    (u, v), rest = d.edges[0], d.edges[1:]
-    half = [(u, d.n), (d.n, v), *rest]
-    shift = d.n + 1
-    edges = half + [(a + shift, b + shift) for a, b in half] + [(d.n, d.n + shift)]
-    return Multigraph(2 * shift, tuple(edges))
-
-
 def _write(tmp_path, inputs) -> str:
     p = tmp_path / "graphs.s6"
     p.write_text("".join(io.serialize(g, "s6").decode() + "\n" for g in inputs))
@@ -188,7 +178,7 @@ def _write(tmp_path, inputs) -> str:
 def test_reduce_time_limit(capsys, tmp_path):
     # the bridge certificate of two GP(20,2) solves cp on each 41-vertex
     # side, some 10 ms a call
-    p = _write(tmp_path, [_bridged(graphs.generalized_petersen(20, 2)), graphs.complete(4)])
+    p = _write(tmp_path, [bridged(graphs.generalized_petersen(20, 2)), graphs.complete(4)])
     code, lines = _run(
         capsys,
         ["reduce", "--input", p, "--certificates", "--time-limit-ms", "1"],
@@ -202,7 +192,7 @@ def test_reduce_time_limit(capsys, tmp_path):
 
 def test_reduce_bridged_dodecahedra(capsys, tmp_path):
     # a bridge certificate solves only the two 21-vertex sides
-    p = _write(tmp_path, [_bridged(graphs.dodecahedron())])
+    p = _write(tmp_path, [bridged(graphs.dodecahedron())])
     t = time.monotonic()
     code, lines = _run(capsys, ["reduce", "--input", p, "--certificates"])
     assert time.monotonic() - t < 1.0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jonescheck import graphs
+from jonescheck import graphs, reduction
 from jonescheck.multigraph import (
     Multigraph,
     add_edge,
@@ -16,6 +16,13 @@ def test_edge_normalization_and_ids():
     g = Multigraph(3, ((2, 0), (1, 1), (0, 1)))
     assert g.edges == ((0, 2), (1, 1), (0, 1))
     assert g.m == 3
+    # the public constructor checks every endpoint; only the edit
+    # operations skip that, through `Multigraph._trusted`
+    for bad in ((0, 3), (3, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            Multigraph(3, ((0, 1), bad))
+    with pytest.raises(ValueError):
+        Multigraph(-1)
 
 
 def test_degrees_loops_count_twice():
@@ -128,3 +135,55 @@ def test_immutability():
     g = graphs.cycle(3)
     with pytest.raises(Exception):
         g.n = 5
+
+
+def _dfs_labels(g: Multigraph) -> tuple[int, ...]:
+    """Components numbered by their smallest vertices, by depth-first search
+    over the adjacency: the reference for the union-find labels."""
+    label = [-1] * g.n
+    comp = 0
+    for s in range(g.n):
+        if label[s] < 0:
+            label[s] = comp
+            stack = [s]
+            while stack:
+                for y, _ in g.adjacency[stack.pop()]:
+                    if label[y] < 0:
+                        label[y] = comp
+                        stack.append(y)
+            comp += 1
+    return tuple(label)
+
+
+def test_edit_results_match_the_public_constructor():
+    # the edit operations build their results through the unchecked private
+    # constructor; each result must equal the graph the public constructor
+    # builds from the same edges, which checks and normalizes them
+    rng = random.Random(2626)
+
+    def same(h: Multigraph) -> None:
+        assert type(h.edges) is tuple and h == Multigraph(h.n, h.edges), h
+
+    suppressed = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        edges = []
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            r = rng.random()
+            edges += [(u, u if r < 0.1 else v)] * (2 if r > 0.85 else 1)
+        g = Multigraph(n, tuple(edges))
+        assert g._component_labels == _dfs_labels(g), g
+        verts = rng.sample(range(n), rng.randint(0, n))
+        same(delete_vertices(g, verts).graph)
+        same(reduction._induced_part(g, tuple(sorted(verts))).graph)
+        same(delete_edges(g, rng.sample(range(g.m), rng.randint(0, g.m))).graph)
+        same(add_edge(g, rng.randrange(n), rng.randrange(n)))
+        keep = set(verts)
+        if 0 < len(keep) < n and any((u in keep) != (v in keep) for u, v in g.edges):
+            same(contract_side_to_vertex(g, verts).graph)
+        for v in range(n):
+            if g.degree(v) == 2 and not g.loops[v]:
+                same(reduction.suppress_degree2(g, v).graph)
+                suppressed += 1
+    assert suppressed > 500

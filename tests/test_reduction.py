@@ -1,11 +1,13 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
 import certificate_oracle
 import strip_oracle
 from isomorphism import are_isomorphic
+from random_graphs import bridged, chained_k4s
 from jonescheck import graphs, harness, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
 
@@ -211,6 +213,44 @@ def test_certificates_match_exact_oracle_random():
             assert reduction.certify(d) == certificate_oracle.certify(d), (g, d.cut)
             kinds[d.kind] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_pipeline_memo_matches_unshared_certificates(multi_corpus_8, monkeypatch):
+    # one solve memo per pipeline call: the certificates equal those each
+    # decomposition gets alone, and each distinct (solver, part graph) pair
+    # is solved once per call
+    inputs = [g for g in multi_corpus_8 if g.n <= 7] + [
+        bridged(graphs.dodecahedron()),
+        bridged(graphs.prism()),
+        chained_k4s(2),
+        chained_k4s(3),
+        _double_diamond(),
+    ]
+    calls: Counter = Counter()
+
+    def counting(solver):
+        def wrapper(h, **kw):
+            calls[solver.__name__, h] += 1
+            return solver(h, **kw)
+
+        return wrapper
+
+    shared = unshared = 0
+    for g in inputs:
+        with monkeypatch.context() as mp:
+            mp.setattr(reduction, "fvs_exact", counting(solvers.fvs_exact))
+            mp.setattr(reduction, "cp_exact", counting(solvers.cp_exact))
+            calls.clear()
+            res = harness.reduce_pipeline(g, with_certificates=True)
+            assert max(calls.values(), default=1) == 1, g
+            shared += sum(calls.values())
+            calls.clear()
+            alone = [reduction.certify(d) for d in res.decompositions if d.kind != "low_degree"]
+            unshared += sum(calls.values())
+        plain = harness.reduce_pipeline(g)
+        assert (res.decompositions, res.leaves) == (plain.decompositions, plain.leaves)
+        assert [c.to_dict() for c in res.certificates] == [c.to_dict() for c in alone]
+    assert shared < unshared
 
 
 def _virtual_cycle_packing(part: reduction.Part) -> solvers.CyclePacking:

@@ -12,7 +12,7 @@ import pytest
 import bruteforce_oracle
 import cp_oracle
 import fvs_oracle
-from random_graphs import random_cubic_planar
+from random_graphs import chained_k4s, random_cubic_planar
 from jonescheck import graphs, reduction, solvers, structure
 from jonescheck.multigraph import Multigraph
 
@@ -69,17 +69,6 @@ def test_cp_long_path_and_cycle_linear():
     # than two live neighbours are peeled, so no O(n^2) walk remains
     assert solvers.cp_exact(graphs.path(1500), time_limit_s=0.5).size == 0
     assert solvers.cp_exact(graphs.cycle(1500), time_limit_s=0.5).size == 1
-
-
-def _chained_k4s(k: int) -> Multigraph:
-    """k copies of K4, each joined to the next by a bridge from its vertex 3
-    to the next one's vertex 0; maximum degree 4."""
-    edges = []
-    for b in range(0, 4 * k, 4):
-        edges += [(b + i, b + j) for i in range(4) for j in range(i + 1, 4)]
-        if b:
-            edges.append((b - 1, b))
-    return Multigraph(4 * k, tuple(edges))
 
 
 def _assert_minimal_matches_oracle(g: Multigraph) -> None:
@@ -217,7 +206,7 @@ def test_oracle_equivalence_random():
         graphs_.append(Multigraph(n, edges))
     graphs_ += [_random_multigraph(rng) for _ in range(400)]
     # degree-4 bridge ends on n = 8 and 12, past the random multigraphs
-    chains = [_chained_k4s(2), _chained_k4s(3)]
+    chains = [chained_k4s(2), chained_k4s(3)]
     assert [solvers.fvs_exact(g).size for g in chains] == [4, 6]
     for g in graphs_ + chains:
         fvs = bruteforce_oracle.fvs_bruteforce(g).size
@@ -466,9 +455,26 @@ def test_fp_le_cp():
         assert solvers.fp_fixed_embedding(g, rot).size <= solvers.cp_exact(g).size
 
 
-def test_time_limit_raises():
+def test_time_limit_raises(monkeypatch):
     with pytest.raises(solvers.SolverLimit):
         solvers.fvs_exact(graphs.dodecahedron(), time_limit_s=0.0)
+    # K4 and the dodecahedron reach their root degree bound at once (the
+    # dodecahedron with its first multi-start candidate), and reductions
+    # empty a loop vertex, so no search runs; the deadline still holds
+    bounds = []
+    lower_bound = solvers._degree_lower_bound
+
+    def counted(*args):
+        bounds.append(args)
+        return lower_bound(*args)
+
+    monkeypatch.setattr(solvers, "_degree_lower_bound", counted)
+    for g in (graphs.complete(4), Multigraph(1, ((0, 0),)), graphs.dodecahedron()):
+        bounds.clear()
+        solvers.fvs_exact(g)
+        assert len(bounds) == 1, g  # the root bound only: no search node
+        with pytest.raises(solvers.SolverLimit):
+            solvers.fvs_exact(g, time_limit_s=1e-9)
 
 
 def test_cp_time_limit_bounds_enumeration():
