@@ -86,15 +86,17 @@ def _solve_one(idx, g, limit):
 
 
 def _cuts_one(idx, g, limit):
-    found = list(structure._small_cuts(g))
+    # every cut with its kind from one scan; no side is listed
+    _, found, kind, _ = structure._cut_scan(g)
+    cuts = []
+    for edges in found:
+        trivial, cyclic = kind(edges)
+        cuts.append({"edges": list(edges), "trivial": trivial, "cyclic": cyclic})
     ess4, cyc4 = structure.small_cut_flags(g)
     rec = {
         "index": idx,
         "graph_id": harness.graph_digest(g),
-        "cuts": [
-            {"edges": list(c.edges), "trivial": c.trivial, "cyclic": c.cyclic}
-            for c in found
-        ],
+        "cuts": cuts,
         "essentially_4ec": ess4,
         "cyclically_4ec": cyc4,
     }

@@ -389,15 +389,14 @@ def reduce_pipeline(
     decs: list[reduction.Decomposition] = []
     leaves: list[PipelineLeaf] = []
     certs: list[reduction.Certificate] = []
-    stack = [g]
+    # every graph pushed later is a stripped component or a side of a
+    # minimal cut, so it is connected too
+    if g.is_connected():
+        stack = [g]
+    else:
+        stack = [reduction._induced_part(g, comp).graph for comp in g.components()]
     while stack:
         h = stack.pop()
-        if not h.is_connected():
-            for comp in h.components():
-                stack.append(
-                    reduction._induced_part(h, comp).graph  # component split
-                )
-            continue
         reduced, changed = _strip_low_degree(h)
         if changed:
             decs.append(

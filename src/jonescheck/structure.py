@@ -1,12 +1,12 @@
 """Connectivity and planarity analysis for small multigraphs.
 
-Minimal edge cuts with at most 3 edges all come from one engine:
+Minimal edge cuts with at most 3 edges all come from one scan:
 cycle-space signatures over a spanning forest turn the cut test into XORs
-of edge signatures, so every such cut is read off in O(m^2).
-`small_cut_flags` reads each cut's side sizes in O(1) from subtree
-intervals of the forest and traces no side; `_small_cuts` adds one
-traversal per cut for its sides, and `find_first_cut` stops at its first
-hit and traces that cut alone.  Planarity is decided on the
+of edge signatures, so every such cut is read off in O(m^2), and subtree
+intervals of the forest give each cut's triviality and cycles in O(1).
+`small_cut_flags` and the `cuts` listing read those and list no side;
+`find_first_cut` stops at its first hit and lists that cut's sides alone,
+as runs of the forest's traversal order.  Planarity is decided on the
 underlying simple graph (loops and parallel edges never affect planarity).
 A graph whose 2-core has fewer than 5 vertices of degree >= 4 and fewer
 than 6 of degree >= 3 holds no Kuratowski subdivision and is planar; any
@@ -100,93 +100,12 @@ def vertex_connectivity(g: Multigraph) -> int:
 # -- small edge cuts -------------------------------------------------------
 
 
-def _signatures(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The root of each vertex's tree in a spanning forest, the cycle-space
-    signature of each edge (Pritchard & Thurimella, ACM TALG 7(4), 2011),
-    the forest's traversal order, in which each subtree is a contiguous run,
-    and each vertex's parent edge (-1 at a root).  Each non-tree edge owns
-    one bit, and a tree edge carries the XOR of the non-tree edges whose
-    fundamental cycles use it.  A set of non-loop edges is a cut exactly
-    when its signatures XOR to 0, and a minimal one when no proper subset's
-    do.  One bit per non-tree edge makes the test exact.  Loops lie in no
-    cut and get no signature."""
-    adj = g.adjacency
-    root = [-1] * g.n
-    parent_edge = [-1] * g.n
-    order: list[int] = []  # every vertex after its parent
-    for r in range(g.n):
-        if root[r] != -1:
-            continue
-        root[r] = r
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y, eid in adj[x]:
-                if root[y] == -1:
-                    root[y] = r
-                    parent_edge[y] = eid
-                    stack.append(y)
-    tree = set(parent_edge)
-    sig = [0] * g.m
-    acc = [0] * g.n  # XOR of the non-tree bits at a vertex, then its subtree
-    bit = 1
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v and eid not in tree:
-            sig[eid] = bit
-            acc[u] ^= bit
-            acc[v] ^= bit
-            bit <<= 1
-    for x in reversed(order):
-        eid = parent_edge[x]
-        if eid != -1:
-            sig[eid] = acc[x]
-            u, v = g.edges[eid]
-            acc[u + v - x] ^= acc[x]
-    return root, sig, order, parent_edge
+Cut = tuple[int, ...]  # the edge ids of a cut, ascending
 
 
-def _side_tracer(g: Multigraph, root: list[int]) -> Callable[[tuple[int, ...]], EdgeCut]:
-    """A function that traces the sides of one minimal cut of g, given by
-    its edge ids, in one traversal.  A minimal cut splits one component
-    into two connected sides; a side holds a cycle exactly when its edges,
-    loops included, number at least its vertices."""
-    adj = g.adjacency
-    deg = g.degrees()
-    members: dict[int, list[int]] = {}
-    for v in range(g.n):
-        members.setdefault(root[v], []).append(v)
-    comp_edges = {r: sum(deg[v] for v in vs) // 2 for r, vs in members.items()}
-
-    def trace(edges: tuple[int, ...]) -> EdgeCut:
-        banned = set(edges)
-        start = g.edges[edges[0]][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for y, eid in adj[stack.pop()]:
-                if y not in seen and eid not in banned:
-                    seen.add(y)
-                    stack.append(y)
-        inner = (sum(deg[v] for v in seen) - len(edges)) // 2
-        outer = comp_edges[root[start]] - len(edges) - inner
-        side = tuple(sorted(seen))
-        rest = tuple(v for v in members[root[start]] if v not in seen)
-        side_a, side_b = sorted((side, rest))
-        return EdgeCut(
-            edges=edges,
-            side_a=side_a,
-            side_b=side_b,
-            trivial=min(len(side), len(rest)) <= 1,
-            cyclic=inner >= len(side) and outer >= len(rest),
-        )
-
-    return trace
-
-
-def _cut_edge_sets(g: Multigraph, sig: list[int]) -> Iterator[tuple[int, ...]]:
-    """The edge ids of every minimal cut with 1-3 edges, from the signatures,
-    in (size, edge ids) order and found lazily."""
+def _cut_edge_sets(g: Multigraph, sig: list[int]) -> Iterator[Cut]:
+    """The edge ids of every minimal cut with 1-3 edges, from the signatures
+    of `_cut_scan`, in (size, edge ids) order and found lazily."""
     real = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
     yield from ((e,) for e in real if not sig[e])
     nonzero = [e for e in real if sig[e]]
@@ -205,13 +124,101 @@ def _cut_edge_sets(g: Multigraph, sig: list[int]) -> Iterator[tuple[int, ...]]:
                         yield (e, f, h)
 
 
-def _small_cuts(g: Multigraph) -> Iterator[EdgeCut]:
-    """Every minimal edge cut with 1-3 edges, sorted by (size, edge ids),
-    each with its sides."""
-    root, sig, _, _ = _signatures(g)
-    trace = _side_tracer(g, root)
-    for edges in _cut_edge_sets(g, sig):
-        yield trace(edges)
+def _cut_scan(g: Multigraph) -> tuple[list[tuple[int, int]], Iterator[Cut], Callable, Callable]:
+    """One pass over a spanning forest of g: the (vertices, edges) of each
+    component, the lazy edge sets of `_cut_edge_sets`, and two functions of
+    a cut, one giving its (trivial, cyclic) in O(1) and one its two sides,
+    sorted.
+
+    Each edge gets a cycle-space signature (Pritchard & Thurimella, ACM
+    TALG 7(4), 2011): each non-tree edge owns one bit, and a tree edge
+    carries the XOR of the non-tree edges whose fundamental cycles use it.
+    A set of non-loop edges is a cut exactly when its signatures XOR to 0,
+    and a minimal one when no proper subset's do; one bit per non-tree edge
+    makes the test exact.  Loops lie in no cut and get no signature.
+
+    A vertex lies across a minimal cut from its root exactly when it lies
+    in an odd number of the subtrees below the cut's tree edges.  Each
+    subtree is an interval of the traversal order, and the points covered
+    an odd number of times by a few intervals run from the 1st to the 2nd
+    of their sorted ends, from the 3rd to the 4th, and so on: those runs
+    are one side, and the gaps between them in the component's run the
+    other.  So a side's vertex count and degree sum come from prefix sums;
+    its inner edges, loops included, number (degree sum - cut size) / 2, and
+    it holds a cycle exactly when its edges number at least its vertices.
+    """
+    ends = g.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # loops left out
+    for eid, (u, v) in enumerate(ends):
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    root = [-1] * g.n
+    parent_edge = [-1] * g.n  # -1 at a root
+    pos = [0] * g.n
+    order: list[int] = []  # every vertex after its parent
+    roots = []
+    for r in range(g.n):
+        if root[r] != -1:
+            continue
+        root[r] = r
+        roots.append(r)
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            pos[x] = len(order)
+            order.append(x)
+            for y, eid in adj[x]:
+                if root[y] == -1:
+                    root[y] = r
+                    parent_edge[y] = eid
+                    stack.append(y)
+    tree = set(parent_edge)
+    sig = [0] * g.m
+    acc = [0] * g.n  # XOR of the non-tree bits at a vertex, then its subtree
+    bit = 1
+    for eid, (u, v) in enumerate(ends):
+        if u != v and eid not in tree:
+            sig[eid] = bit
+            acc[u] ^= bit
+            acc[v] ^= bit
+            bit <<= 1
+    size = [1] * g.n  # vertices in each subtree
+    span = [()] * g.m  # the interval of order below each tree edge
+    for x in reversed(order):
+        eid = parent_edge[x]
+        if eid != -1:
+            sig[eid] = acc[x]
+            span[eid] = (pos[x], pos[x] + size[x])
+            u, v = ends[eid]
+            y = u + v - x  # the parent
+            acc[y] ^= acc[x]
+            size[y] += size[x]
+    degsum = list(itertools.accumulate(map(g.degrees().__getitem__, order), initial=0))
+    # (vertices, edges) of each component: its root's subtree, which starts
+    # the component's run of the order
+    comp = {r: (size[r], (degsum[pos[r] + size[r]] - degsum[pos[r]]) // 2) for r in roots}
+
+    def kind(cut: Cut) -> tuple[bool, bool]:
+        k = len(cut)
+        bounds = sorted([p for e in cut for p in span[e]])
+        hi, lo = bounds[1::2], bounds[::2]
+        nv = sum(hi) - sum(lo)
+        inner = (sum([degsum[p] for p in hi]) - sum([degsum[p] for p in lo]) - k) // 2
+        comp_v, comp_e = comp[root[ends[cut[0]][0]]]
+        return min(nv, comp_v - nv) <= 1, inner >= nv and comp_e - k - inner >= comp_v - nv
+
+    def sides(cut: Cut) -> tuple[Cut, Cut]:
+        # a root is the smallest vertex of its component, so its side sorts first
+        r = root[ends[cut[0]][0]]
+        pts = [pos[r], *sorted([p for e in cut for p in span[e]]), pos[r] + size[r]]
+        stay, move = (
+            tuple(sorted(v for a, b in zip(pts[i::2], pts[i + 1 :: 2]) for v in order[a:b]))
+            for i in (0, 1)
+        )
+        return stay, move
+
+    return list(comp.values()), _cut_edge_sets(g, sig), kind, sides
 
 
 def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
@@ -220,69 +227,35 @@ def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
     essentially_4ec: no removal of <= 3 edges (zero included) leaves two
     components with >= 2 vertices each.  cyclically_4ec: no such removal
     leaves two components that each contain a cycle; vacuously true when no
-    two vertex-disjoint cycles exist at all.
-
-    No side is traced.  A vertex lies across a minimal cut from its root
-    exactly when it lies in an odd number of the subtrees below the cut's
-    tree edges.  Each subtree is an interval of the traversal order, and
-    the points covered an odd number of times by a few intervals run from
-    the 1st to the 2nd of their sorted ends, from the 3rd to the 4th, and so
-    on.  So that side's vertex count and degree sum come in O(1) per cut,
-    and its inner edges, loops included, number (degree sum - cut size) / 2.
-    A side holds a cycle exactly when its edges number at least its vertices.
+    two vertex-disjoint cycles exist at all.  Each cut is read in O(1) from
+    `_cut_scan`, and no side is listed.
     """
-    root, sig, order, parent_edge = _signatures(g)
-    deg, ends = g.degrees(), g.edges
-    pos = [0] * g.n
-    degsum = [0]  # degree sum of order[:i]
-    for i, v in enumerate(order):
-        pos[v] = i
-        degsum.append(degsum[-1] + deg[v])
-    size = [1] * g.n  # vertices in each subtree
-    span = [()] * g.m  # the interval of order below each tree edge
-    for x in reversed(order):
-        eid = parent_edge[x]
-        if eid != -1:
-            span[eid] = (pos[x], pos[x] + size[x])
-            u, v = ends[eid]
-            size[u + v - x] += size[x]
-    # (vertices, edges) of each component: its root's subtree
-    comp = {r: (size[r], (degsum[pos[r] + size[r]] - degsum[pos[r]]) // 2)
-            for r in order if root[r] == r}
-    essential = sum(nv >= 2 for nv, _ in comp.values()) <= 1
-    cyclic = sum(ne >= nv for nv, ne in comp.values()) <= 1
+    comps, cuts, kind, _ = _cut_scan(g)
+    # removing no edge: the components themselves
+    essential = sum(nv >= 2 for nv, _ in comps) <= 1
+    cyclic = sum(ne >= nv for nv, ne in comps) <= 1
     # both sides of a k-cut hold a cycle only if their component has at
     # least k more edges than vertices, and cuts come by size
-    slack = max((ne - nv for nv, ne in comp.values()), default=0)
-    for cut in _cut_edge_sets(g, sig):
-        k = len(cut)
-        if not essential and (not cyclic or k > slack):
+    slack = max((ne - nv for nv, ne in comps), default=0)
+    for cut in cuts:
+        if not essential and (not cyclic or len(cut) > slack):
             break
-        bounds = sorted([p for e in cut for p in span[e]])
-        hi, lo = bounds[1::2], bounds[::2]
-        nv = sum(hi) - sum(lo)
-        inner = (sum([degsum[p] for p in hi]) - sum([degsum[p] for p in lo]) - k) // 2
-        comp_v, comp_e = comp[root[ends[cut[0]][0]]]
-        essential = essential and min(nv, comp_v - nv) <= 1
-        cyclic = cyclic and not (inner >= nv and comp_e - k - inner >= comp_v - nv)
+        trivial, both = kind(cut)
+        essential = essential and trivial
+        cyclic = cyclic and not both
     return essential, cyclic
 
 
 def find_first_cut(g: Multigraph) -> EdgeCut | None:
     """The first bridge, else the first minimal 2-edge cut, else the first
     nontrivial minimal 3-edge cut, each in edge-id order; None if there is
-    none.  Only the returned cut's sides are traced.  A minimal 3-cut is
-    trivial exactly when its edges meet at a vertex w whose only non-loop
-    edges they are: deg(w) - 2 loops(w) = 3.
+    none.  Only the returned cut's sides are listed.
     """
-    root, sig, _, _ = _signatures(g)
-    deg, loops, ends = g.degrees(), g.loops, g.edges
-    for cut in _cut_edge_sets(g, sig):
-        if len(cut) < 3 or not any(
-            w in ends[cut[1]] and w in ends[cut[2]] and deg[w] - 2 * len(loops[w]) == 3
-            for w in ends[cut[0]]
-        ):
-            return _side_tracer(g, root)(cut)
+    _, cuts, kind, sides = _cut_scan(g)
+    for cut in cuts:
+        trivial, cyclic = kind(cut)
+        if len(cut) < 3 or not trivial:
+            return EdgeCut(cut, *sides(cut), trivial, cyclic)
     return None
 
 

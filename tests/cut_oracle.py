@@ -1,10 +1,12 @@
-"""Exhaustive reference for small edge cuts, used to cross-check the
-cycle-space engine in `jonescheck.structure`.
+"""References for small edge cuts, used to cross-check the cycle-space
+scan in `jonescheck.structure`.
 
-Every routine here but `flags_of_cuts` removes edge subsets and recomputes
-components with a union-find, so it is slow but follows the definitions
-word for word.  `flags_of_cuts` is the earlier flags routine, which traces
-the sides of every cut.
+`small_cuts` and `small_cut_flags` remove edge subsets and recompute
+components with a union-find, so they are slow but follow the definitions
+word for word.  `traced_cuts` takes the scan's edge sets and traces each
+cut's sides by a traversal, as the scan's listing once did, and
+`flags_of_cuts` is the flags routine over such traced cuts.  `scan_cuts`
+lists the scan's own cuts with their sides, for tests that want them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from collections import Counter
 from typing import Iterable
 
+from jonescheck import structure
 from jonescheck.multigraph import Multigraph
 from jonescheck.structure import EdgeCut
 
@@ -96,8 +99,8 @@ def small_cut_flags(g: Multigraph) -> tuple[bool, bool]:
 
 
 def flags_of_cuts(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
-    """`small_cut_flags` of g, read off the traced sides of the cuts of
-    `jonescheck.structure._small_cuts(g)`."""
+    """`small_cut_flags` of g, read off all the minimal cuts of g with 1-3
+    edges, such as those of `traced_cuts(g)`."""
     labels = g._component_labels
     sizes = Counter(labels)
     edges = Counter(labels[u] for u, _ in g.edges)
@@ -109,3 +112,49 @@ def flags_of_cuts(g: Multigraph, cuts: Iterable[EdgeCut]) -> tuple[bool, bool]:
         essential = essential and cut.trivial
         cyclic = cyclic and not cut.cyclic
     return essential, cyclic
+
+
+def traced_cuts(g: Multigraph) -> list[EdgeCut]:
+    """The minimal cuts that `structure._cut_scan` lists, from its
+    `_cut_edge_sets`, each with its sides traced by one traversal.  A
+    minimal cut splits one component into two connected sides; a side holds
+    a cycle exactly when its edges, loops included, number at least its
+    vertices."""
+    adj = g.adjacency
+    deg = g.degrees()
+    labels = g._component_labels
+    members = g.components()
+    comp_edges = Counter(labels[u] for u, _ in g.edges)
+    cuts = []
+    for edges in structure._cut_scan(g)[1]:
+        banned = set(edges)
+        start = g.edges[edges[0]][0]
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y, eid in adj[stack.pop()]:
+                if y not in seen and eid not in banned:
+                    seen.add(y)
+                    stack.append(y)
+        inner = (sum(deg[v] for v in seen) - len(edges)) // 2
+        outer = comp_edges[labels[start]] - len(edges) - inner
+        side = tuple(sorted(seen))
+        rest = tuple(v for v in members[labels[start]] if v not in seen)
+        side_a, side_b = sorted((side, rest))
+        cuts.append(
+            EdgeCut(
+                edges=edges,
+                side_a=side_a,
+                side_b=side_b,
+                trivial=min(len(side), len(rest)) <= 1,
+                cyclic=inner >= len(side) and outer >= len(rest),
+            )
+        )
+    return cuts
+
+
+def scan_cuts(g: Multigraph) -> list[EdgeCut]:
+    """Every minimal edge cut with 1-3 edges from `structure._cut_scan`,
+    sorted by (size, edge ids), each with its sides."""
+    _, cuts, kind, sides = structure._cut_scan(g)
+    return [EdgeCut(c, *sides(c), *kind(c)) for c in cuts]

@@ -8,6 +8,7 @@ import pytest
 
 import bruteforce_oracle
 import connectivity_oracle
+import cut_oracle
 from jonescheck import graphs, harness, reduction, solvers, structure
 
 
@@ -105,7 +106,7 @@ def test_criterion5_cut_certificates(simple_corpus_12, solved):
         if not g.is_connected():
             continue
         certs = []
-        cuts = list(structure._small_cuts(g))
+        cuts = cut_oracle.scan_cuts(g)
         bridges = [c for c in cuts if len(c.edges) == 1]
         for cut in bridges:
             d = reduction.split_bridge(g, cut.edges[0])

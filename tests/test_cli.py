@@ -153,6 +153,23 @@ def test_cuts(capsys, corpus_file):
     assert lines[-1] == {"summary": True, "graphs": 3}
 
 
+def test_cuts_long_cycle(capsys, tmp_path):
+    # C_400 has 79,800 minimal 2-cuts; each is read in O(1), no side listed
+    p = tmp_path / "cycle.txt"
+    p.write_bytes(io.serialize(graphs.cycle(400), "edges"))
+    t0 = time.perf_counter()
+    code = cli.main(["cuts", "--input", str(p), "--format", "edges"])
+    elapsed = time.perf_counter() - t0
+    rec, summary = (json.loads(l) for l in capsys.readouterr().out.splitlines())
+    assert code == 0
+    assert len(rec["cuts"]) == 400 * 399 // 2
+    assert sum(c["trivial"] for c in rec["cuts"]) == 400
+    assert not any(c["cyclic"] for c in rec["cuts"])
+    assert not rec["essentially_4ec"] and rec["cyclically_4ec"]
+    assert summary == {"summary": True, "graphs": 1}
+    assert elapsed < 3.0
+
+
 def test_reduce(capsys, corpus_file):
     code, lines = _run(
         capsys, ["reduce", "--input", corpus_file, "--certificates"]

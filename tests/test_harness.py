@@ -207,11 +207,16 @@ def test_pipeline_dodecahedron():
 
 
 def test_pipeline_disconnected():
+    # two triangles and an isolated vertex: the components are split off
+    # once, up front, and reduced last to first
     g = Multigraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     res = harness.reduce_pipeline(g)
-    assert all(
-        l.label in ("acyclic", "essentially_4ec", "small") for l in res.leaves
-    )
+    assert [d.kind for d in res.decompositions] == ["low_degree"] * 3
+    assert [(l.graph.n, l.graph.edges, l.label) for l in res.leaves] == [
+        (0, (), "acyclic"),
+        (1, ((0, 0),), "small"),
+        (1, ((0, 0),), "small"),
+    ]
 
 
 def test_graph_digest_stable():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import certificate_oracle
+import cut_oracle
 import strip_oracle
 from isomorphism import are_isomorphic
 from random_graphs import bridged, chained_k4s
@@ -193,7 +194,7 @@ def _random_connected_multigraph(rng: random.Random) -> Multigraph:
 def _decompositions(g: Multigraph):
     """The decomposition of g along each of its bridges, minimal 2-cuts and
     nontrivial minimal 3-cuts."""
-    for cut in structure._small_cuts(g):  # sorted by size
+    for cut in cut_oracle.scan_cuts(g):  # sorted by size
         if len(cut.edges) == 1:
             yield reduction.split_bridge(g, cut.edges[0])
         elif len(cut.edges) == 2:
@@ -290,12 +291,12 @@ def test_decompositions_need_a_connected_parent():
 
     g = plus_triangle(_BOWTIE)
     with pytest.raises(ValueError, match="connected"):
-        reduction.split_bridge(g, next(structure._small_cuts(g)).edges[0])
+        reduction.split_bridge(g, cut_oracle.scan_cuts(g)[0].edges[0])
     g = plus_triangle(graphs.cycle(6))
     with pytest.raises(ValueError, match="connected"):
-        reduction.split_2cut(g, next(structure._small_cuts(g)))
+        reduction.split_2cut(g, cut_oracle.scan_cuts(g)[0])
     g = plus_triangle(graphs.prism())
-    cut = next(c for c in structure._small_cuts(g) if len(c.edges) == 3 and not c.trivial)
+    cut = next(c for c in cut_oracle.scan_cuts(g) if len(c.edges) == 3 and not c.trivial)
     with pytest.raises(ValueError, match="connected"):
         reduction.decompose_3cut(g, cut)
 

@@ -56,7 +56,7 @@ def test_vertex_connectivity_matches_networkx():
 
 
 def test_enumerate_cuts_cycle():
-    cuts = [c for c in structure._small_cuts(graphs.cycle(4)) if len(c.edges) == 2]
+    cuts = [c for c in cut_oracle.scan_cuts(graphs.cycle(4)) if len(c.edges) == 2]
     # a 4-cycle has no bridges; every pair of edges is a minimal 2-cut
     assert all(len(c.edges) == 2 for c in cuts)
     assert len(cuts) == 6
@@ -65,7 +65,7 @@ def test_enumerate_cuts_cycle():
 
 def test_prism_rung_cut():
     prism = graphs.prism()
-    cuts3 = [c for c in structure._small_cuts(prism) if len(c.edges) == 3 and not c.trivial]
+    cuts3 = [c for c in cut_oracle.scan_cuts(prism) if len(c.edges) == 3 and not c.trivial]
     assert len(cuts3) == 1
     assert sorted(cuts3[0].edges) == [6, 7, 8]
     assert cuts3[0].cyclic  # both sides are triangles
@@ -91,7 +91,7 @@ def test_fast_scan_matches_enumeration(simple_corpus_12):
     # the cycle-space engine against the exhaustive subset scan on a slice
     # of the corpus
     for g in [g for g in simple_corpus_12 if g.n <= 8][:300]:
-        assert list(structure._small_cuts(g)) == cut_oracle.small_cuts(g)
+        assert cut_oracle.scan_cuts(g) == cut_oracle.small_cuts(g)
         assert structure.small_cut_flags(g) == cut_oracle.small_cut_flags(g)
 
 
@@ -109,8 +109,8 @@ def _random_multigraph(rng: random.Random) -> Multigraph:
 
 _K4 = graphs.complete(4).edges
 
-# inputs for the rule that a minimal 3-cut is trivial when its edges meet at
-# a vertex w with deg(w) - 2 loops(w) = 3: a loop at the meeting vertex
+# minimal 3-cuts whose edges meet at one vertex, which pin triviality where
+# a local degree count could be fooled: a loop at the meeting vertex
 # (trivial), a vertex of degree 3 on three parallel edges (trivial), and two
 # K4s joined by three parallel edges (nontrivial, though the edges meet)
 _TRIVIALITY_CASES = (
@@ -124,7 +124,7 @@ def test_small_cuts_match_oracle_random():
     rng = random.Random(20111)
     for g in _TRIVIALITY_CASES + tuple(_random_multigraph(rng) for _ in range(2000)):
         expected = cut_oracle.small_cuts(g)
-        cuts = list(structure._small_cuts(g))
+        cuts = cut_oracle.scan_cuts(g)
         for k in (1, 2, 3):
             want = [c for c in expected if len(c.edges) == k]
             assert [c for c in cuts if len(c.edges) == k] == want
@@ -135,11 +135,12 @@ def test_small_cuts_match_oracle_random():
 
 
 def test_flags_match_traced_sides_corpora(simple_corpus_12, multi_corpus_8):
-    # the O(1)-per-cut flags against the earlier routine that traces the
-    # sides of every cut
-    for g in simple_corpus_12 + multi_corpus_8:
-        want = cut_oracle.flags_of_cuts(g, structure._small_cuts(g))
-        assert structure.small_cut_flags(g) == want, g
+    # the scan's sides, triviality and cycles, and the flags read off them,
+    # against cuts whose sides are traced by a traversal
+    for g in _TRIVIALITY_CASES + tuple(simple_corpus_12 + multi_corpus_8):
+        traced = cut_oracle.traced_cuts(g)
+        assert cut_oracle.scan_cuts(g) == traced, g
+        assert structure.small_cut_flags(g) == cut_oracle.flags_of_cuts(g, traced), g
 
 
 def test_flags_long_cycle():
@@ -153,18 +154,18 @@ def test_flags_long_cycle():
 
 
 def test_find_first_cut_corpora(simple_corpus_12, multi_corpus_8):
-    # the first hit of the full cut list, which the tests above check
+    # the first hit of the traced cut list, which the tests above check
     # against the oracle
     for g in simple_corpus_12 + multi_corpus_8:
         assert structure.find_first_cut(g) == next(
-            (c for c in structure._small_cuts(g) if len(c.edges) < 3 or not c.trivial), None
+            (c for c in cut_oracle.traced_cuts(g) if len(c.edges) < 3 or not c.trivial), None
         )
 
 
 def test_find_first_cut_matches_enumeration():
     # the first bridge, else the first 2-cut, else the first nontrivial 3-cut
     for g in (graphs.prism(), graphs.cycle(5), graphs.path(4), graphs.cube(), graphs.complete(4)):
-        small = list(structure._small_cuts(g))
+        small = cut_oracle.scan_cuts(g)
         cuts = [
             *(c for c in small if len(c.edges) == 1),
             *(c for c in small if len(c.edges) == 2),
