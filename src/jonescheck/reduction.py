@@ -158,34 +158,6 @@ class SuppressedVertex:
     virtual_edge: int  # child edge id of uw
     removed_edges: tuple[int, int]  # the parent edges vu, vw
 
-    def cycle_to_parent(self, child_edges: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a child cycle under the cycle bijection."""
-        out = []
-        for e in child_edges:
-            if e == self.virtual_edge:
-                out.extend(self.removed_edges)
-            else:
-                out.append(self.edge_map[e])
-        return tuple(sorted(out))
-
-    def fvs_to_parent(self, s: FeedbackSet) -> FeedbackSet:
-        """A feedback set of the child is one of the parent, same size."""
-        verts = tuple(sorted(self.vertex_map[v] for v in s.vertices))
-        out = FeedbackSet(verts, s.size)
-        out.verify(self.parent)
-        return out
-
-    def fvs_to_child(self, s: FeedbackSet) -> FeedbackSet:
-        """Parent feedback set mapped down: v is traded for u if present."""
-        inv = {p: c for c, p in enumerate(self.vertex_map)}
-        verts = set(s.vertices)
-        if self.suppressed in verts:
-            verts.discard(self.suppressed)
-            verts.add(self.u)
-        out = FeedbackSet(tuple(sorted(inv[v] for v in verts)), len(set(verts)))
-        out.verify(self.graph)
-        return out
-
 
 def suppress_degree2(g: Multigraph, v: int) -> SuppressedVertex:
     inc, edges, emap = [], [], []  # one pass builds G - v

@@ -151,9 +151,12 @@ def enumerate_cycles(
     when y is adjacent to r, and never grows past such a y.  It walks only
     single edges between loop-free vertices, and only those in the
     biconnected block of its first edge, since every such cycle lies in one
-    block of that graph.  The `deadline` (a `time.monotonic()` value) is
-    checked every 1,024 steps of the search, so a search that finds few
-    cycles stops in time as well.
+    block of that graph.  Each cycle is searched from one side only: no
+    search starts on r's highest-id walked edge to a live vertex, since a
+    cycle is listed only when its first edge id is below its closing edge
+    id, and every other edge of r is below that one.  The `deadline` (a
+    `time.monotonic()` value) is checked every 1,024 steps of the search,
+    so a search that finds few cycles stops in time as well.
     """
     if max_len is None:
         max_len = g.n
@@ -227,9 +230,10 @@ def enumerate_cycles(
         if not alive[r]:
             continue
         closing = single[r]
+        top = max(e for y, e in closing.items() if alive[y])  # see the docstring
         push(r)
         for y0, e0 in closing.items():
-            if not alive[y0]:
+            if not alive[y0] or e0 == top:
                 continue
             b = block[e0]
             push(y0)
@@ -547,8 +551,9 @@ def _minimal_by_length(g: Multigraph, deadline: float | None, max_len: int) -> l
 
 
 def _packing_cap(n: int, cycles: list[Cycle]) -> int:
-    """max(n - p0*g, l) for the greedy packing of `cycles`: p0 cycles, the
-    longest of l vertices, and the shortest listed cycle of g vertices."""
+    """max(n - s, l) for the greedy packing of `cycles`, sorted by length:
+    p0 cycles, the longest of l vertices, and s the number of vertices of
+    the p0 shortest listed cycles."""
     used = p0 = longest = 0
     for c in cycles:
         mk = sum(1 << v for v in c.vertices)
@@ -556,7 +561,7 @@ def _packing_cap(n: int, cycles: list[Cycle]) -> int:
             used |= mk
             p0 += 1
             longest = len(c.vertices)
-    return max(n - p0 * len(cycles[0].vertices), longest) if cycles else n
+    return max(n - sum(len(c.vertices) for c in cycles[:p0]), longest) if cycles else n
 
 
 def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
@@ -566,18 +571,20 @@ def cp_exact(g: Multigraph, time_limit_s: float | None = None) -> CyclePacking:
     sorted by (length, edges), with `_mis_over_masks`, but lists only a
     prefix of them on graphs of more than 2 * `_SHORT_CYCLES` vertices.  A
     first pass lists the cycles of at most `_SHORT_CYCLES` vertices; their
-    greedy packing has p0 cycles, the longest of l vertices, and the
-    shortest cycle has g vertices.  Every cycle of a packing of more than p0
-    cycles is disjoint from p0 others of at least g vertices each, so it has
-    at most n - p0*g vertices; so does every cycle the greedy packing of the
-    whole list adds to the first p0.  Hence the cycles of at most
-    L = max(n - p0*g, l) vertices, a prefix of the sorted list, hold the
-    whole list's greedy packing and every packing that beats it.  The search
-    over a prefix meets those packings in the same order as over the whole
-    list and prunes none of them, so the witness is the one the whole list
-    gives.  A second pass lists that prefix when L exceeds the first cap.
-    Smaller graphs are listed whole in one pass, which costs about as much.
-    The time limit bounds both passes and the search.
+    greedy packing has p0 cycles, the longest of l vertices, and the p0
+    shortest of them, the p0 shortest of the whole list, have s vertices
+    together.  Every cycle of a packing of more than p0 cycles is disjoint
+    from p0 other listed cycles, which are distinct and so have at least s
+    vertices together; so it has at most n - s vertices, and so does every
+    cycle the greedy packing of the whole list adds to the first p0.  Hence
+    the cycles of at most L = max(n - s, l) vertices, a prefix of the sorted
+    list, hold the whole list's greedy packing and every packing that beats
+    it.  The search over a prefix meets those packings in the same order
+    as over the whole list and prunes none of them, so the witness is the
+    one the whole list gives.  A second pass lists that prefix when L
+    exceeds the first cap.  Smaller graphs are listed whole in one pass,
+    which costs about as much.  The time limit bounds both passes and the
+    search.
     """
     deadline = _deadline(time_limit_s)
     if g.n <= 2 * _SHORT_CYCLES:

@@ -4,12 +4,15 @@ cross-check the one-pass versions in `jonescheck.reduction` and
 
 Each round rebuilds the whole graph with `delete_vertices`, and the scan
 for a suppressible vertex starts again at vertex 0 after each suppression.
+The witness maps of one suppression (`cycle_to_parent`, `fvs_to_parent`,
+`fvs_to_child`) live here too: nothing in the package needs them.
 """
 
 from __future__ import annotations
 
 from jonescheck.multigraph import Multigraph, add_edge, delete_vertices
 from jonescheck.reduction import SuppressedVertex
+from jonescheck.solvers import FeedbackSet
 
 
 def suppress_degree2(g: Multigraph, v: int) -> SuppressedVertex:
@@ -32,6 +35,37 @@ def suppress_degree2(g: Multigraph, v: int) -> SuppressedVertex:
         removed_edges=(e1, e2),
     )
 
+
+
+def cycle_to_parent(res: SuppressedVertex, child_edges: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of a child cycle under the cycle bijection."""
+    out = []
+    for e in child_edges:
+        if e == res.virtual_edge:
+            out.extend(res.removed_edges)
+        else:
+            out.append(res.edge_map[e])
+    return tuple(sorted(out))
+
+
+def fvs_to_parent(res: SuppressedVertex, s: FeedbackSet) -> FeedbackSet:
+    """A feedback set of the child is one of the parent, same size."""
+    verts = tuple(sorted(res.vertex_map[v] for v in s.vertices))
+    out = FeedbackSet(verts, s.size)
+    out.verify(res.parent)
+    return out
+
+
+def fvs_to_child(res: SuppressedVertex, s: FeedbackSet) -> FeedbackSet:
+    """Parent feedback set mapped down: v is traded for u if present."""
+    inv = {p: c for c, p in enumerate(res.vertex_map)}
+    verts = set(s.vertices)
+    if res.suppressed in verts:
+        verts.discard(res.suppressed)
+        verts.add(res.u)
+    out = FeedbackSet(tuple(sorted(inv[v] for v in verts)), len(set(verts)))
+    out.verify(res.graph)
+    return out
 
 def delete_degree_le1(g: Multigraph):
     """Delete every degree <= 1 vertex, round after round, until none is left."""

@@ -46,13 +46,13 @@ def test_suppress_witness_maps():
     c5 = graphs.cycle(5)
     res = reduction.suppress_degree2(c5, 2)
     child_fvs = solvers.fvs_exact(res.graph)
-    lifted = res.fvs_to_parent(child_fvs)
+    lifted = strip_oracle.fvs_to_parent(res, child_fvs)
     lifted.verify(c5)
     child_cp = solvers.cp_exact(res.graph)
-    lifted_cycles = tuple(res.cycle_to_parent(cyc) for cyc in child_cp.cycles)
+    lifted_cycles = tuple(strip_oracle.cycle_to_parent(res, cyc) for cyc in child_cp.cycles)
     solvers.CyclePacking(lifted_cycles, child_cp.size).verify(c5)
     parent_fvs = solvers.fvs_exact(c5)
-    pushed = res.fvs_to_child(parent_fvs)
+    pushed = strip_oracle.fvs_to_child(res, parent_fvs)
     pushed.verify(res.graph)
 
 

@@ -381,6 +381,55 @@ def test_cp_cap_one_too_small_is_caught(monkeypatch):
     assert any(solvers.cp_exact(g).cycles != _cp_uncapped(g) for g in _capped_route_inputs())
 
 
+def _packing_cap_by_girth(n: int, cycles: list[solvers.Cycle]) -> int:
+    """The former cap, max(n - p0*g, l): g is the shortest listed cycle."""
+    used = p0 = longest = 0
+    for c in cycles:
+        mk = sum(1 << v for v in c.vertices)
+        if not mk & used:
+            used |= mk
+            p0 += 1
+            longest = len(c.vertices)
+    return max(n - p0 * len(cycles[0].vertices), longest) if cycles else n
+
+
+def test_cp_cap_not_above_girth_cap():
+    # the p0 shortest cycles have at least p0*g vertices together
+    for g in _capped_route_inputs():
+        for cycles in (
+            solvers._minimal_by_length(g, None, solvers._SHORT_CYCLES),
+            solvers._minimal_by_length(g, None, g.n),
+        ):
+            assert solvers._packing_cap(g.n, cycles) <= _packing_cap_by_girth(g.n, cycles)
+
+
+def test_cp_cap_saves_second_pass(monkeypatch):
+    # on this graph the girth cap is 8, above the first pass, and the cap
+    # from the p0 shortest cycles is 6, so one enumeration does
+    g = random_cubic_planar(20, random.Random(0))
+    first = solvers._minimal_by_length(g, None, solvers._SHORT_CYCLES)
+    assert _packing_cap_by_girth(g.n, first) > solvers._SHORT_CYCLES
+    assert solvers._packing_cap(g.n, first) <= solvers._SHORT_CYCLES
+    whole = _cp_uncapped(g)
+    calls = []
+    enum = solvers.enumerate_cycles
+    monkeypatch.setattr(
+        solvers, "enumerate_cycles", lambda *a, **k: calls.append(a) or enum(*a, **k)
+    )
+    assert solvers.cp_exact(g).cycles == whole
+    assert len(calls) == 1
+
+
+def test_enumerate_cycles_one_side(monkeypatch):
+    # no search starts on a root's highest edge, which could list nothing:
+    # GP(20,2) takes 102 deadline checks of 1,024 steps each, against 193
+    # when every edge of the root starts one
+    checks = []
+    monkeypatch.setattr(solvers, "_check_deadline", checks.append)
+    solvers.enumerate_cycles(graphs.generalized_petersen(20, 2))
+    assert len(checks) <= 110
+
+
 def test_cp_former_walls():
     # every vertex-minimal cycle of these was listed before the cap: GP(20,2)
     # took 8 s and GP(30,1) ran past 60 s at 1.6 GB
