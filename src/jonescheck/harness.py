@@ -382,10 +382,9 @@ def reduce_pipeline(
     """Recursively reduce along low-degree vertices, bridges, 2-cuts and
     nontrivial 3-cuts until every leaf is acyclic, essentially 4-edge-connected
     or has at most 4 vertices.  `time_limit_s` bounds each solver call of the
-    certificates; one over it raises `solvers.SolverLimit`.  The certificates
-    share one solve memo, local to this call, so each distinct part graph is
-    solved once."""
-    memo: dict = {}
+    certificates; one over it raises `solvers.SolverLimit`.  Part solves go
+    through `reduction`'s solve cache, per process, bounded, keyed by the
+    time limit, so a part graph already solved is not solved again."""
     decs: list[reduction.Decomposition] = []
     leaves: list[PipelineLeaf] = []
     certs: list[reduction.Certificate] = []
@@ -424,7 +423,7 @@ def reduce_pipeline(
             d = reduction.decompose_3cut(h, cut)
         decs.append(d)
         if with_certificates:
-            certs.append(reduction.certify(d, time_limit_s, memo))
+            certs.append(reduction.certify(d, time_limit_s))
         sides = ("G1p", "G2p") if k == 2 else ("G1", "G2")
         stack.extend(d.parts[side].graph for side in sides)
     return PipelineResult(tuple(decs), tuple(leaves), tuple(certs))

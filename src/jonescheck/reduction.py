@@ -7,25 +7,26 @@ be lifted and re-verified.  Certificates evaluate only inequalities that are
 valid for arbitrary graphs; conditional equalities that hold just for a
 hypothetical minimal counterexample are recorded as observations.
 
-Each distinct part graph is solved once per solve memo (`_solve_parts`).
-`harness.reduce_pipeline` passes one memo, local to the call, to all its
-certificates, so a part is solved once per pipeline call, not once per
-certificate.  A certificate takes the parent's values from the parts'
-witnesses, lifted and verified on the parent, by exact formulas (f, c: fvs,
-cp; Gi: side i; Gi': side i plus the 2-cut's virtual edge; Gi_XY: side i
-plus the virtual edge for 3-cut edges X, Y):
+Part solves go through one solve cache per process, bounded and keyed by the
+time limit (`_solve`), so a part graph that comes back, in one certificate,
+in one `harness.reduce_pipeline` call or graph after graph, is solved once.
+A certificate takes the parent's values from the parts' witnesses, lifted
+and verified on the parent, by exact formulas (f, c: fvs, cp; Gi: side i;
+Gi': side i plus the 2-cut's virtual edge; Gi_XY: side i plus the virtual
+edge for 3-cut edges X, Y):
 - bridge, which lies on no cycle: fvs = f(G1) + f(G2), cp = c(G1) + c(G2);
 - 2-cut, whose crossing cycles use both cut edges:
   fvs = min(f(G1') + f(G2), f(G1) + f(G2')),
   cp = max(c(G1) + c(G2), c(G1') + c(G2') - 1);
 - 3-cut: cp = max(c(G1) + c(G2), c(G1_XY) + c(G2_XY) - 1 over the pairs XY),
   as a packing holds at most one crossing cycle.  No part pins the 3-cut's
-  fvs down, so it alone is still solved on the parent, through the memo.
+  fvs down, so it alone is still solved on the parent, through the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .multigraph import (
     Multigraph,
@@ -210,30 +211,28 @@ def delete_degree_le1(g: Multigraph):
 
 
 def _solve_parts(
-    d: Decomposition, time_limit_s: float | None, memo: dict | None
+    d: Decomposition, time_limit_s: float | None
 ) -> tuple[dict[str, FeedbackSet], dict[str, CyclePacking]]:
     """Exact fvs and cp witnesses of the parts a certificate reads (no
-    packing of a contracted part), through `memo`, which maps (solver,
-    graph) to a witness (None: a fresh one).  Each distinct part graph is
-    solved once per memo: the two sides of a symmetric cut often come out
-    as the same graph, and `harness.reduce_pipeline` passes one memo to all
-    its certificates."""
-    memo = {} if memo is None else memo
-    f = {k: _solve(memo, fvs_exact, p.graph, time_limit_s) for k, p in d.parts.items()}
+    packing of a contracted part), through the solve cache of `_solve`: per
+    process, bounded, keyed by the time limit."""
+    f = {k: _solve(fvs_exact, p.graph, time_limit_s) for k, p in d.parts.items()}
     c = {
-        k: _solve(memo, cp_exact, p.graph, time_limit_s)
+        k: _solve(cp_exact, p.graph, time_limit_s)
         for k, p in d.parts.items()
         if not k.endswith("_ABC")
     }
     return f, c
 
 
-def _solve(memo: dict, solver, h: Multigraph, time_limit_s: float | None):
-    key = (solver, h)
-    w = memo.get(key)
-    if w is None:
-        w = memo[key] = solver(h, time_limit_s=time_limit_s)
-    return w
+@lru_cache(maxsize=4096)
+def _solve(solver, h: Multigraph, time_limit_s: float | None):
+    """`solver(h)`'s witness, cached per process, bounded, keyed by the time
+    limit: a part graph that comes back (the two sides of a symmetric cut,
+    or the same tiny part graph after graph) is solved once.  A hit is the
+    witness the same solver gave under the same limit on an equal graph
+    (`Multigraph` compares by n and edges); a `SolverLimit` is not cached."""
+    return solver(h, time_limit_s=time_limit_s)
 
 
 def _sizes(witnesses: dict) -> dict[str, int]:
@@ -300,10 +299,8 @@ def split_bridge(g: Multigraph, e: int) -> Decomposition:
     return Decomposition("bridge", g, (e,), parts)
 
 
-def check_bridge_certificate(
-    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
-) -> Certificate:
-    fw, cw = _solve_parts(d, time_limit_s, memo)
+def check_bridge_certificate(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
+    fw, cw = _solve_parts(d, time_limit_s)
     f, c = _sizes(fw), _sizes(cw)
     f["G"] = _lift_fvs(d, fw, "G1", "G2").size
     c["G"] = _lift_packing(d, cw, "G1", "G2").size
@@ -349,10 +346,8 @@ def split_2cut(g: Multigraph, cut: EdgeCut) -> Decomposition:
     return Decomposition("cut2", g, (e1, e2), parts)
 
 
-def check_cut2_certificate(
-    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
-) -> Certificate:
-    fw, cw = _solve_parts(d, time_limit_s, memo)
+def check_cut2_certificate(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
+    fw, cw = _solve_parts(d, time_limit_s)
     f, c = _sizes(fw), _sizes(cw)
     # the union that includes the virtual-edge side; the merge when both gain
     sides = ("G1p", "G2") if f["G1p"] + f["G2"] <= f["G1"] + f["G2p"] else ("G1", "G2p")
@@ -503,9 +498,7 @@ def lift_fvs_3cut(
     return out
 
 
-def check_cut3_certificate(
-    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
-) -> Certificate:
+def check_cut3_certificate(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
     """Evaluate the universally valid inequalities around a nontrivial 3-cut.
 
     The conditional equalities that hold only for a minimal counterexample
@@ -513,10 +506,9 @@ def check_cut3_certificate(
     """
     if d.kind != "cut3":
         raise ValueError("decomposition is not a 3-cut")
-    memo = {} if memo is None else memo
-    fw, cw = _solve_parts(d, time_limit_s, memo)
+    fw, cw = _solve_parts(d, time_limit_s)
     f, c = _sizes(fw), _sizes(cw)
-    f["G"] = _solve(memo, fvs_exact, d.parent, time_limit_s).size
+    f["G"] = _solve(fvs_exact, d.parent, time_limit_s).size
     # the union, or the merge through the cut edges of a pair where both gain
     gain = [p for p in _PAIRS if c[f"G1_{p}"] + c[f"G2_{p}"] - 1 > c["G1"] + c["G2"]]
     sides = (f"G1_{gain[0]}", f"G2_{gain[0]}") if gain else ("G1", "G2")
@@ -573,21 +565,19 @@ def _cut3_certificate(f: dict[str, int], c: dict[str, int]) -> Certificate:
     return Certificate(tuple(entries), observations)
 
 
-def certify(
-    d: Decomposition, time_limit_s: float | None = None, memo: dict | None = None
-) -> Certificate:
+def certify(d: Decomposition, time_limit_s: float | None = None) -> Certificate:
     """The certificate of a decomposition (empty for a low-degree one).  The
     parent's values come from lifted, verified part witnesses: bridge
     fvs = f1 + f2, cp = c1 + c2; 2-cut fvs = min(f(G1') + f2, f1 + f(G2')),
     cp = max(c1 + c2, c(G1') + c(G2') - 1); 3-cut cp = max(c1 + c2,
     c(G1_XY) + c(G2_XY) - 1).  The 3-cut fvs is still solved on the parent.
     `time_limit_s` bounds each solver call; one over it raises `SolverLimit`.
-    `memo` (see `_solve_parts`) lets certificates share their part solves;
-    without one, each certificate solves its own parts."""
+    Part solves go through the solve cache of `_solve`: per process,
+    bounded, keyed by the time limit."""
     if d.kind == "bridge":
-        return check_bridge_certificate(d, time_limit_s, memo)
+        return check_bridge_certificate(d, time_limit_s)
     if d.kind == "cut2":
-        return check_cut2_certificate(d, time_limit_s, memo)
+        return check_cut2_certificate(d, time_limit_s)
     if d.kind == "cut3":
-        return check_cut3_certificate(d, time_limit_s, memo)
+        return check_cut3_certificate(d, time_limit_s)
     return Certificate(())

@@ -216,10 +216,10 @@ def test_certificates_match_exact_oracle_random():
     assert min(kinds.values()) >= 20, kinds
 
 
-def test_pipeline_memo_matches_unshared_certificates(multi_corpus_8, monkeypatch):
-    # one solve memo per pipeline call: the certificates equal those each
-    # decomposition gets alone, and each distinct (solver, part graph) pair
-    # is solved once per call
+def test_pipeline_solves_each_part_once_per_process(multi_corpus_8, monkeypatch):
+    # one solve cache per process: across the whole input list each distinct
+    # (solver, part graph) pair is solved once, and the certificates equal
+    # those each decomposition gets alone, from an empty cache
     inputs = [g for g in multi_corpus_8 if g.n <= 7] + [
         bridged(graphs.dodecahedron()),
         bridged(graphs.prism()),
@@ -236,22 +236,33 @@ def test_pipeline_memo_matches_unshared_certificates(multi_corpus_8, monkeypatch
 
         return wrapper
 
-    shared = unshared = 0
-    for g in inputs:
-        with monkeypatch.context() as mp:
-            mp.setattr(reduction, "fvs_exact", counting(solvers.fvs_exact))
-            mp.setattr(reduction, "cp_exact", counting(solvers.cp_exact))
-            calls.clear()
-            res = harness.reduce_pipeline(g, with_certificates=True)
-            assert max(calls.values(), default=1) == 1, g
-            shared += sum(calls.values())
-            calls.clear()
-            alone = [reduction.certify(d) for d in res.decompositions if d.kind != "low_degree"]
-            unshared += sum(calls.values())
+    reduction._solve.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(reduction, "fvs_exact", counting(solvers.fvs_exact))
+        mp.setattr(reduction, "cp_exact", counting(solvers.cp_exact))
+        results = [harness.reduce_pipeline(g, with_certificates=True) for g in inputs]
+    assert max(calls.values()) == 1
+    for g, res in zip(inputs, results):
         plain = harness.reduce_pipeline(g)
         assert (res.decompositions, res.leaves) == (plain.decompositions, plain.leaves)
+        alone = []
+        for d in res.decompositions:
+            if d.kind != "low_degree":
+                reduction._solve.cache_clear()
+                alone.append(reduction.certify(d))
         assert [c.to_dict() for c in res.certificates] == [c.to_dict() for c in alone]
-    assert shared < unshared
+
+
+def test_solve_cache_keeps_limits_apart():
+    # an entry solved with no limit does not serve a limited call, and the
+    # limited call's SolverLimit leaves the unlimited entries as they were
+    g = bridged(graphs.prism())
+    reduction._solve.cache_clear()
+    first = harness.reduce_pipeline(g, True, None)
+    with pytest.raises(solvers.SolverLimit):
+        harness.reduce_pipeline(g, True, 1e-9)
+    again = harness.reduce_pipeline(g, True, None)
+    assert again.certificates == first.certificates
 
 
 def _virtual_cycle_packing(part: reduction.Part) -> solvers.CyclePacking:
